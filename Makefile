@@ -28,8 +28,11 @@ test:
 # goroutine (the one-runnable discipline the determinism rule encodes).
 # internal/sweep is the batch runner — the one other package with real
 # concurrency — so its worker pool and progress tracker run under -race too.
+# TestEventLogStream repeats uncached: it is the two-rank on-demand exchange
+# whose crossing dials and log sealing once flaked about one run in ten.
 race:
 	$(GO) test -race ./internal/tcpvia/... ./internal/mpi/... ./internal/core/... ./internal/sweep/...
+	$(GO) test -race -run TestEventLogStream -count=50 ./internal/tcpvia
 
 # The invariant analyzers also run inside `go test` (the selfcheck); this
 # target is the direct, human-readable form. The wall-time budget keeps the

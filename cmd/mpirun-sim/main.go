@@ -64,16 +64,11 @@ func main() {
 		Seed:     *seed,
 		Deadline: 8 * 3600 * simnet.Second,
 	}
-	var rec *trace.Recorder
-	if *matrix {
-		rec = trace.New(*np, false)
-		cfg.Trace = rec
-	}
 	cfg.Profile = *profile
 
 	var flight *obs.Recorder
 	var reg *obs.Registry
-	if *traceTo != "" || *metrics || *phases || *record != "" {
+	if *traceTo != "" || *metrics || *phases || *record != "" || *matrix {
 		cfg.Obs = obs.NewBus()
 	}
 	if *traceTo != "" {
@@ -107,6 +102,11 @@ func main() {
 			os.Exit(1)
 		}
 		cw.Attach(cfg.Obs)
+	}
+	var rec *trace.Recorder
+	if *matrix {
+		rec = trace.New(*np, false)
+		rec.Attach(cfg.Obs)
 	}
 	res, w, err := npb.Run(kern, class, cfg)
 	if err != nil {

@@ -3,31 +3,29 @@
 // strictly-downward package layering, and total determinism of virtual time
 // (a run is a pure function of its Config).
 //
-// Fifteen analyzers ship (see the Analyzers registry). Four are syntactic:
-// layering checks the import DAG, determinism bans
+// Twelve analyzers ship (see the Analyzers registry). Five are per-body
+// AST checks: layering checks the import DAG, determinism bans
 // wall-clock/global-rand/goroutines/locks in simulated code, maporder flags
-// order-sensitive iteration over Go maps, and costcharge verifies that
-// hardware-modelling fabric calls charge host CPU cost. Four are built on
-// the intraprocedural CFG + dataflow framework in cfg.go: exhaustive
-// (switches over closed constant sets handle every member), waitwake
-// (waiter-visible state transitions wake parked waiters on every path),
-// locks (Lock/Unlock pairing and the leaf-lock contract), and hotalloc
-// (policy-annotated hot paths stay allocation-free). Four are
-// interprocedural, built on the whole-program call graph and
-// summary-propagation fixpoint in callgraph.go: lockorder (the global
-// lock-acquisition-order graph is acyclic), protocol (wire kinds sent and
-// dispatcher arms agree in both directions), chargeflow (every path from an
-// MPI entry point to a fabric transmit charges CPU cost), and wakereach (a
-// park-visible transition is reached by a wake through the call graph).
-// Three are the v4 resource-lifetime and protocol-model rules: paired
+// order-sensitive iteration over Go maps, exhaustive makes switches over
+// closed constant sets handle every member, and hotalloc keeps
+// policy-annotated hot paths allocation-free. Six are interprocedural,
+// built on the whole-program call graph and summary-propagation fixpoint
+// in callgraph.go and, where a property must hold on every path, the CFG +
+// bitset dataflow framework in cfg.go: lockorder (every Lock pairs with an
+// Unlock on all paths, leaf locks are never held across a layered call,
+// and the global lock-acquisition-order graph is acyclic), protocol (wire
+// kinds sent and dispatcher arms agree in both directions), chargeflow
+// (every path from an MPI, core or VIA entry point to a fabric transmit
+// charges CPU cost), wakereach (a park-visible transition is reached by a
+// wake through the call graph before it leaves the provider), paired
 // (every policy-declared acquire — pinned-memory registration, VI slots,
 // bus subscriptions, capture writers — is released on every path, with
-// escape-to-field and ownership-transfer summaries), fsm (the connection
-// state machine extracted from the code has no dead states, matches the
-// committed DOT diagram, and its 2-peer product automata model-check
-// deadlock-free under fault-plan loss/refusal/reordering), and seqcheck (no
-// send on a closed or evicted channel without an interposed rebind through
-// the reconnect path).
+// escape-to-field and ownership-transfer summaries), and seqcheck (no send
+// on a closed or evicted channel without an interposed rebind through the
+// reconnect path). The twelfth, fsm, extracts the connection state machine
+// from the code, checks it has no dead states and matches the committed
+// DOT diagram, and model-checks its 2-peer product automata deadlock-free
+// under fault-plan loss/refusal/reordering.
 // Legitimate exceptions live in one place, policy.go, so they are declared
 // in code review rather than scattered as comments — and the stale-policy
 // sweep (stale.go) fails the build when an exception no longer matches any
@@ -76,10 +74,7 @@ func Analyzers() []*Analyzer {
 		LayeringAnalyzer(),
 		DeterminismAnalyzer(),
 		MapOrderAnalyzer(),
-		CostChargeAnalyzer(),
 		ExhaustiveAnalyzer(),
-		WaitWakeAnalyzer(),
-		LocksAnalyzer(),
 		HotAllocAnalyzer(),
 		LockOrderAnalyzer(),
 		ProtocolAnalyzer(),

@@ -20,11 +20,12 @@ package analysis
 // it executes still belongs to the declaring function for reachability
 // purposes — a callback scheduled by F that transmits a frame is a transmit
 // F's callers can reach. Analyzers that need activation-accurate path
-// sensitivity (waitwake) keep analyzing literals as separate units; the
-// graph is about *what* can run, not *when*.
+// sensitivity (wakereach's obligation, lockorder's held-lock dataflow) keep
+// analyzing literals as separate units; the graph is about *what* can run,
+// not *when*.
 //
 // The graph is built once per Module and cached (Module.Interproc), so the
-// four interprocedural analyzers — and the stale-policy sweep — share one
+// interprocedural analyzers — and the stale-policy sweep — share one
 // index instead of re-deriving it per rule.
 
 import (
@@ -289,8 +290,8 @@ func (ip *Interproc) fixpoint(step func(key string) bool) {
 // nodeMayStates runs the shared bitset dataflow over one unit body and
 // returns, for every CFG node, the may-state *before* the node executes —
 // the building block the interprocedural analyzers use to ask "what may be
-// held / owed at this call site".
-func nodeMayStates(body *ast.BlockStmt, entryState uint64, transfer func(node ast.Node, in uint64) uint64) map[ast.Node]uint64 {
+// held / owed at this call site" — and the may-state at the function exit.
+func nodeMayStates(body *ast.BlockStmt, entryState uint64, transfer func(node ast.Node, in uint64) uint64) (map[ast.Node]uint64, uint64) {
 	g := buildCFG(body)
 	in := blockStates(g, entryState, func(b *cfgBlock, s uint64) uint64 {
 		for _, node := range b.nodes {
@@ -309,7 +310,7 @@ func nodeMayStates(body *ast.BlockStmt, entryState uint64, transfer func(node as
 			s = transfer(node, s)
 		}
 	}
-	return states
+	return states, in[g.exit]
 }
 
 // exitMayState folds one unit body and returns the may-state at the

@@ -2,10 +2,10 @@ package analysis
 
 // cfg.go is a lightweight intraprocedural control-flow graph over go/ast,
 // built only on the standard library like the rest of the suite. It exists
-// so the path-sensitive rules (waitwake, locks) can ask "does property P
-// hold on *every* path to return?" instead of "does P appear somewhere in
-// the body?" — the difference between catching the PR 3 VI.Close hang and
-// missing it.
+// so the path-sensitive rules (chargeflow, wakereach, lockorder, paired,
+// seqcheck) can ask "does property P hold on *every* path to return?"
+// instead of "does P appear somewhere in the body?" — the difference between
+// catching the PR 3 VI.Close hang and missing it.
 //
 // The model is deliberately small:
 //
@@ -438,4 +438,17 @@ func blockStates(g *cfg, entryState uint64, transfer func(b *cfgBlock, in uint64
 		}
 	}
 	return in
+}
+
+// applyStates maps every reachable abstract state of a two-bit domain (a
+// bitset over the four states 0..3) through f — the set-of-states transfer
+// the held-lock, owed-wake and charged dataflows share.
+func applyStates(set uint64, f func(int) int) uint64 {
+	var out uint64
+	for s := 0; s < 4; s++ {
+		if set&(1<<s) != 0 {
+			out |= 1 << f(s)
+		}
+	}
+	return out
 }

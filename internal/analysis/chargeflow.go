@@ -6,33 +6,34 @@ import (
 	"sort"
 )
 
-// ChargeFlowAnalyzer is the interprocedural replacement for the syntactic
-// costcharge rule: instead of demanding that a function calling a fabric
-// entry point charges cost in the same body, it verifies that every CFG
-// path from an MPI entry point to a fabric transmit passes a CPU-cost
-// charge somewhere along the call chain — charges made inside helpers
-// count, and transmits buried inside helpers are found.
+// ChargeFlowAnalyzer verifies that every CFG path from an entry point of
+// the simulated stack to a fabric transmit passes a CPU-cost charge
+// somewhere along the call chain — charges made inside helpers count, and
+// transmits buried inside helpers are found.
 func ChargeFlowAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "chargeflow",
-		Doc:  "every path from an MPI entry point to a fabric transmit must charge CPU cost",
+		Doc:  "every path from an MPI, core or VIA entry point to a fabric transmit must charge CPU cost",
 		Explain: `docs/ARCHITECTURE.md, invariant 2 ("Costs are charged where the hardware
-pays them"): a fabric transmit (Policy.ChargeRequired: Cluster.Send,
-SendMgmt, Attach, AttachNode) models a NIC or switch doing real work, so
-any route the software takes to one must book cost against virtual time
+pays them"): host CPU costs are charged to the calling process, NIC
+service runs on per-node busy-until timelines, wire time lives in the
+fabric. A fabric transmit (Policy.ChargeRequired: Cluster.Send, SendMgmt,
+Attach, AttachNode) models a NIC or switch doing real work, so any route
+the software takes to one must book cost against virtual time
 (Policy.ChargeFuncs: ChargeHost, serviceTx/serviceRx/sendFrame,
 Compute/Sleep) or the paper's latency curves quietly understate the
-device. The costcharge rule checks this per-body, which both misses
-uncharged paths assembled across functions and cannot credit a charge
-made inside a helper. This rule computes, over the shared call graph, two
-summaries to fixpoint: alwaysCharges(F) — every path through F charges
-before returning — and uncharged(F) — some path from F's entry reaches a
-transmit (a ChargeRequired call, or a call into an uncharged callee) with
-no prior charge (a ChargeFuncs call, or a call into an alwaysCharges
-callee). A diagnostic fires for every exported function of a
-Policy.ChargeRootPkgs package — the MPI entry points — that is uncharged,
-citing the first witness site. Reviewed exceptions (the out-of-band
-bootstrap network, boot-time attach) live in Policy.ChargeFlowExempt.`,
+device. A per-body check would both miss uncharged paths assembled across
+functions and fail to credit a charge made inside a helper, so this rule
+computes, over the shared call graph, two summaries to fixpoint:
+alwaysCharges(F) — every path through F charges before returning — and
+uncharged(F) — some path from F's entry reaches a transmit (a
+ChargeRequired call, or a call into an uncharged callee) with no prior
+charge (a ChargeFuncs call, or a call into an alwaysCharges callee). A
+diagnostic fires for every exported function of a Policy.ChargeRootPkgs
+package (the MPI surface, the connection managers in core, and the VIA
+provider itself) that is uncharged, citing the first witness site.
+Reviewed exceptions (the out-of-band bootstrap network, boot-time attach)
+live in Policy.ChargeFlowExempt.`,
 		Run: runChargeFlow,
 	}
 }
@@ -99,7 +100,7 @@ func runChargeFlow(m *Module, p *Policy) []Diagnostic {
 				return true
 			})
 			if charged {
-				return lkApply(in, func(s int) int { return 1 })
+				return applyStates(in, func(s int) int { return 1 })
 			}
 			return in
 		})
@@ -134,7 +135,7 @@ func runChargeFlow(m *Module, p *Policy) []Diagnostic {
 			return true
 		})
 		if charged {
-			return lkApply(in, func(s int) int { return 1 })
+			return applyStates(in, func(s int) int { return 1 })
 		}
 		return in
 	}
@@ -147,7 +148,7 @@ func runChargeFlow(m *Module, p *Policy) []Diagnostic {
 			// A literal runs in its own activation (a scheduled callback),
 			// where nothing charged by the enclosing body is still "on the
 			// path" — it starts uncharged.
-			states := nodeMayStates(u.body, 1<<0, func(node ast.Node, in uint64) uint64 {
+			states, _ := nodeMayStates(u.body, 1<<0, func(node ast.Node, in uint64) uint64 {
 				return transfer(f.Pkg, node, in)
 			})
 			inspectSkipLits(u.body, func(n ast.Node) bool {
@@ -205,7 +206,7 @@ func runChargeFlow(m *Module, p *Policy) []Diagnostic {
 		return false
 	})
 
-	// Report the MPI entry points: exported functions of the root packages.
+	// Report the entry points: exported functions of the root packages.
 	var ds []Diagnostic
 	var roots []string
 	for _, key := range ip.Keys {
@@ -226,7 +227,7 @@ func runChargeFlow(m *Module, p *Policy) []Diagnostic {
 		ds = append(ds, Diagnostic{
 			Pos:  m.Position(w.node.Pos()),
 			Rule: "chargeflow",
-			Message: fmt.Sprintf("MPI entry point %s reaches %s without charging CPU cost on some path; the transmit becomes free in virtual time — charge (ChargeHost/Compute) before it, or justify in Policy.ChargeFlowExempt",
+			Message: fmt.Sprintf("entry point %s reaches %s without charging CPU cost on some path; the transmit becomes free in virtual time — charge (ChargeHost/Compute) before it, or justify in Policy.ChargeFlowExempt",
 				key, what),
 		})
 	}

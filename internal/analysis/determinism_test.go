@@ -90,14 +90,14 @@ func reportDivergence(t *testing.T, first, second []byte) {
 // It returns errors instead of taking a testing.T so dual runs can execute
 // on concurrent sweep workers.
 func runDigestErr(cfg mpi.Config, rounds, msgBytes int) (string, []byte, error) {
-	rec := trace.New(cfg.Procs, true)
-	cfg.Trace = rec
 	cfg.Obs = obs.NewBus()
 	cfg.Deadline = 30 * simnet.Second
 	cw, bundle, err := attachCapture(&cfg, rounds, msgBytes)
 	if err != nil {
 		return "", nil, err
 	}
+	rec := trace.New(cfg.Procs, true)
+	rec.Attach(cfg.Obs)
 	w, err := apps.Replay(apps.CG(), cfg, rounds, msgBytes)
 	if err != nil {
 		return "", nil, fmt.Errorf("replay (%s, %d procs): %w", cfg.Policy, cfg.Procs, err)

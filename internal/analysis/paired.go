@@ -547,8 +547,7 @@ func prAnalyzeUnit(m *Module, p *Policy, f *IPFunc, u funcUnit, key string, acqu
 		}
 		return out
 	}
-	states := nodeMayStates(u.body, 0, transfer)
-	exit := exitMayState(u.body, 0, transfer)
+	states, exit := nodeMayStates(u.body, 0, transfer)
 
 	for i, ob := range obs {
 		o := uint64(1) << (2 * i)

@@ -58,22 +58,18 @@ type Policy struct {
 	MapOrderStrict map[string]string
 
 	// ChargeRequired lists fabric/simnet entry points that model hardware
-	// doing work; a via/core function invoking one must charge host CPU
-	// cost in the same body (invariant 2: costs are charged where the
-	// hardware pays them).
+	// doing work; every path to one must charge host CPU cost (invariant 2:
+	// costs are charged where the hardware pays them).
 	ChargeRequired map[string]bool
 	// ChargeFuncs are the calls that count as charging (or booking NIC
 	// service time for) a cost.
 	ChargeFuncs map[string]bool
-	// ChargeExempt lists via/core functions excused from the rule, with
-	// justifications.
-	ChargeExempt map[string]string
 	// ChargeRootPkgs lists the packages whose exported functions are the
-	// entry points the interprocedural chargeflow rule audits: every path
-	// from one of them to a ChargeRequired transmit must pass a charge.
+	// entry points the chargeflow rule audits: every path from one of them
+	// to a ChargeRequired transmit must pass a charge.
 	ChargeRootPkgs map[string]bool
 	// ChargeFlowExempt excuses functions from the chargeflow rule, with
-	// justifications — the interprocedural counterpart of ChargeExempt.
+	// justifications.
 	ChargeFlowExempt map[string]string
 
 	// ExhaustiveStrict lists policy-qualified functions whose switches must
@@ -108,22 +104,16 @@ type Policy struct {
 	WaitWakeStates map[string][]string
 	// WaitWakeWakers are the calls that discharge the wake obligation.
 	WaitWakeWakers map[string]bool
-	// WaitWakeAllow exempts functions whose callers own the wake, with the
-	// argument for why every caller wakes.
-	WaitWakeAllow map[string]string
-	// WakeReachAllow exempts functions from the interprocedural wakereach
-	// rule — owner-thread entry points whose caller is by definition not
-	// parked, so the escaped obligation is vacuous. Unlike WaitWakeAllow,
-	// entries here are NOT trusted for helpers: a helper's obligation is
-	// verified against its actual callers.
+	// WakeReachAllow exempts functions from the wakereach rule —
+	// owner-thread entry points whose caller is by definition not parked,
+	// so the escaped obligation is vacuous. Entries are never trusted for
+	// helpers: a helper's obligation is verified against its actual
+	// callers.
 	WakeReachAllow map[string]string
 
 	// LeafLocks maps qualified mutex fields to the leaf contract they carry:
 	// while one is held, no call may re-enter a layered simulation package.
 	LeafLocks map[string]string
-	// LockExempt excuses functions from the lock-discipline rule entirely,
-	// with justifications.
-	LockExempt map[string]string
 	// LockOrderAllow excuses edges ("A -> B", both qualified mutex fields)
 	// from the global lock-order cycle check, with the argument for why the
 	// two acquisition orders can never be live concurrently.
@@ -252,17 +242,12 @@ func DefaultPolicy() *Policy {
 			"internal/simnet.(Proc).Compute":   true,
 			"internal/simnet.(Proc).Sleep":     true,
 		},
-		ChargeExempt: map[string]string{
-			"internal/via.(Network).open": "boot-time endpoint attach; MPI_Init cost is charged by the connection managers, not port creation",
-			"internal/via.(Port).SendOob": "out-of-band management network (Ethernet/TCP bootstrap); bypasses the NIC by design, §ARCHITECTURE 'never for MPI traffic'",
-		},
 		ChargeRootPkgs: map[string]bool{
-			"internal/mpi": true,
+			"internal/mpi":  true,
+			"internal/core": true,
+			"internal/via":  true,
 		},
 		ChargeFlowExempt: map[string]string{
-			// The same two reviewed exceptions as ChargeExempt, restated for
-			// the interprocedural rule so exported MPI surface reaching them
-			// (bootstrap barriers over SendOob, MPI_Init attach) stays clean.
 			"internal/via.(Network).open": "boot-time endpoint attach; MPI_Init cost is charged by the connection managers, not port creation",
 			"internal/via.(Port).SendOob": "out-of-band management network (Ethernet/TCP bootstrap); bypasses the NIC by design, §ARCHITECTURE 'never for MPI traffic'",
 		},
@@ -308,11 +293,6 @@ func DefaultPolicy() *Policy {
 			"internal/via.(VI).Close":            true, // wakes internally on every path
 			"internal/simnet.(Proc).Wake":        true,
 		},
-		WaitWakeAllow: map[string]string{
-			"internal/via.(VI).failPending":    "completion helper with a caller-owned wake: enterError, Close and the DISC dispatch each notify after calling it",
-			"internal/via.(VI).resetHandshake": "NACK/cancel helper: the kindConnNack dispatch path notifies after it, and CancelConnect runs on the owner thread, which cannot be parked while calling it",
-			"internal/via.(VI).PostSend":       "owner-thread entry point: the pre-connection discard completes synchronously for the poster, which by definition is not parked",
-		},
 		WakeReachAllow: map[string]string{
 			// Owner-thread entry points: both obligations come from helpers
 			// (resetHandshake, the pre-connection discard) whose other
@@ -327,7 +307,6 @@ func DefaultPolicy() *Policy {
 			"internal/tcpvia.(Manager).metricsMu": "guards the obs metrics registry only; acquired last, released before any node/channel lock or call back into the stack",
 			"internal/tcpvia.(EventLog).mu":       "guards the wall-clock capture sinks (ring + stream writer) only; acquired last, never held across a call back into the stack",
 		},
-		LockExempt:     map[string]string{},
 		LockOrderAllow: map[string]string{},
 
 		HotPaths: map[string]string{
@@ -436,12 +415,9 @@ func FixturePolicy() *Policy {
 	p := DefaultPolicy()
 	p.DeterminismExempt = map[string]string{}
 	p.MapOrderAllow = map[string]string{}
-	p.ChargeExempt = map[string]string{}
 	p.ChargeFlowExempt = map[string]string{}
 	p.EnumExclude = map[string]string{}
-	p.WaitWakeAllow = map[string]string{}
 	p.WakeReachAllow = map[string]string{}
-	p.LockExempt = map[string]string{}
 	p.LockOrderAllow = map[string]string{}
 	p.ProtocolNeverSent = map[string]string{}
 	p.PairedAllow = map[string]string{}

@@ -57,13 +57,13 @@ func TestRunAllSorted(t *testing.T) {
 // author to update docs, fixtures, and this suite together.
 func TestRegistryComplete(t *testing.T) {
 	as := Analyzers()
-	if len(as) != 15 {
-		t.Fatalf("Analyzers() returned %d rules, want 15", len(as))
+	if len(as) != 12 {
+		t.Fatalf("Analyzers() returned %d rules, want 12", len(as))
 	}
 	wantNames := []string{
-		"layering", "determinism", "maporder", "costcharge",
-		"exhaustive", "waitwake", "locks", "hotalloc",
-		"lockorder", "protocol", "chargeflow", "wakereach",
+		"layering", "determinism", "maporder", "exhaustive",
+		"hotalloc", "lockorder", "protocol", "chargeflow",
+		"wakereach", "paired", "fsm", "seqcheck",
 	}
 	seen := map[string]bool{}
 	for _, a := range as {

@@ -58,6 +58,57 @@ func TestPolicyNotStale(t *testing.T) {
 	}
 }
 
+// TestAllowlistsLoadBearing is the dual of TestPolicyNotStale: a stale
+// entry names code that no longer exists, an unneeded one excuses code that
+// no longer needs it. Each exemption entry is dropped on its own and only
+// its rule runs over the tree; the rule must then fire, or the entry is
+// dead weight that would silently excuse the next real violation.
+func TestAllowlistsLoadBearing(t *testing.T) {
+	m := loadRepo(t)
+	for _, tc := range []struct {
+		list, rule string
+		entries    func(*Policy) map[string]string
+	}{
+		{"ChargeFlowExempt", "chargeflow", func(p *Policy) map[string]string { return p.ChargeFlowExempt }},
+		{"WakeReachAllow", "wakereach", func(p *Policy) map[string]string { return p.WakeReachAllow }},
+		{"LockOrderAllow", "lockorder", func(p *Policy) map[string]string { return p.LockOrderAllow }},
+	} {
+		for _, key := range sortedStrKeys(tc.entries(DefaultPolicy())) {
+			p := DefaultPolicy()
+			delete(tc.entries(p), key)
+			if ds := ByName(tc.rule).Run(m, p); len(ds) == 0 {
+				t.Errorf("policy.%s[%q] is not load-bearing: without it %s still reports nothing; delete the entry", tc.list, key, tc.rule)
+			}
+		}
+	}
+}
+
+// TestLeafLocksLoadBearing checks each LeafLocks entry guards live code.
+// A leaf entry adds a check rather than excusing one, so dropping it can
+// never make lockorder fire; instead the shared leaves (the only module
+// packages the leaf critical sections call) are treated as layered, and
+// the entry must then be what makes lockorder fire — proof that calls are
+// made under that lock and the leaf contract is actually audited there.
+func TestLeafLocksLoadBearing(t *testing.T) {
+	m := loadRepo(t)
+	lockorder := ByName("lockorder")
+	strict := func() *Policy {
+		p := DefaultPolicy()
+		for rel := range p.SharedLeaves {
+			p.Layers[rel] = 0
+		}
+		return p
+	}
+	with := len(lockorder.Run(m, strict()))
+	for _, field := range sortedStrKeys(DefaultPolicy().LeafLocks) {
+		p := strict()
+		delete(p.LeafLocks, field)
+		if without := len(lockorder.Run(m, p)); without >= with {
+			t.Errorf("policy.LeafLocks[%q] guards no call site: lockorder reports %d diagnostics with it and %d without", field, with, without)
+		}
+	}
+}
+
 // TestSeededStaleEntryIsCaught plants entries pointing at code that does
 // not exist — a renamed allowlisted function, a deleted package, a
 // lock-order edge naming a removed mutex — and requires StalePolicy to

@@ -178,7 +178,7 @@ func seqCheckUnit(m *Module, p *Policy, f *IPFunc, u funcUnit, key string) []Dia
 		}
 		return in
 	}
-	states := nodeMayStates(u.body, 0, transfer)
+	states, _ := nodeMayStates(u.body, 0, transfer)
 
 	var ds []Diagnostic
 	inspectSkipLits(u.body, func(n ast.Node) bool {

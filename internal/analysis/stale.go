@@ -42,13 +42,10 @@ func StalePolicy(m *Module, p *Policy) []string {
 	checkFuncs("MapOrderAllow", sortedStrKeys(p.MapOrderAllow))
 	checkFuncs("ChargeRequired", sortedBoolKeys(p.ChargeRequired))
 	checkFuncs("ChargeFuncs", sortedBoolKeys(p.ChargeFuncs))
-	checkFuncs("ChargeExempt", sortedStrKeys(p.ChargeExempt))
 	checkFuncs("ChargeFlowExempt", sortedStrKeys(p.ChargeFlowExempt))
 	checkFuncs("ExhaustiveStrict", sortedStrKeys(p.ExhaustiveStrict))
 	checkFuncs("WaitWakeWakers", sortedBoolKeys(p.WaitWakeWakers))
-	checkFuncs("WaitWakeAllow", sortedStrKeys(p.WaitWakeAllow))
 	checkFuncs("WakeReachAllow", sortedStrKeys(p.WakeReachAllow))
-	checkFuncs("LockExempt", sortedStrKeys(p.LockExempt))
 	checkFuncs("HotPaths", sortedStrKeys(p.HotPaths))
 	checkFuncs("ColdCalls", sortedBoolKeys(p.ColdCalls))
 	checkFuncs("ProtocolDispatch", sortedStrKeys(p.ProtocolDispatch))

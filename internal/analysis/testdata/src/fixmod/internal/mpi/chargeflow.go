@@ -1,7 +1,7 @@
 // chargeflow.go is the fixture home of the interprocedural cost-charging
 // cases: every exported function here is an MPI entry point
 // (Policy.ChargeRootPkgs), and the fabric transmit is buried one call deep,
-// out of reach of the per-body costcharge rule.
+// out of reach of any per-body check.
 package mpi
 
 import (
@@ -39,8 +39,8 @@ func (c *Chan) SendCharged() {
 }
 
 // SendChargedInHelper charges inside a helper — must NOT flag: crediting
-// helper charges is exactly what the interprocedural rule adds over
-// costcharge.
+// helper charges is exactly what the interprocedural rule adds over a
+// per-body check.
 func (c *Chan) SendChargedInHelper() {
 	c.charge()
 	c.transmit()

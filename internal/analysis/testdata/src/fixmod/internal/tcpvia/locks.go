@@ -20,9 +20,9 @@ type Manager struct {
 // CountBad leaks the lock on the early-return path and re-enters a layered
 // package while holding the leaf — must flag twice.
 func (m *Manager) CountBad(skip bool) int {
-	m.metricsMu.Lock() // locks violation: no Unlock on the skip path
+	m.metricsMu.Lock() // lockorder violation: no Unlock on the skip path
 	m.n++
-	via.Poke() // locks violation: layered call under the leaf lock
+	via.Poke() // lockorder violation: layered call under the leaf lock
 	if skip {
 		return m.n
 	}
@@ -49,4 +49,31 @@ func (m *Manager) CountBranches(fast bool) int {
 	m.n++
 	m.metricsMu.Unlock()
 	return m.n
+}
+
+// RelockBad locks the same mutex a second time while it is still held —
+// must flag (self-deadlock: sync.Mutex is not reentrant).
+func (m *Manager) RelockBad() {
+	m.metricsMu.Lock()
+	m.n++
+	m.metricsMu.Lock() // lockorder violation: re-acquire while held
+	m.n++
+	m.metricsMu.Unlock()
+}
+
+// RelockGood releases before taking the mutex again — must NOT flag.
+func (m *Manager) RelockGood() {
+	m.metricsMu.Lock()
+	m.n++
+	m.metricsMu.Unlock()
+	m.metricsMu.Lock()
+	m.n++
+	m.metricsMu.Unlock()
+}
+
+// UnlockUnheldBad releases a mutex no path through it acquired — must flag
+// (sync: unlock of unlocked mutex is a runtime fault).
+func (m *Manager) UnlockUnheldBad() {
+	m.n++
+	m.metricsMu.Unlock() // lockorder violation: nothing to unlock
 }

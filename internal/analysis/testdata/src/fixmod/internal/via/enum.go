@@ -77,5 +77,5 @@ func Dispatch(m *wireMsg) int {
 	return 0
 }
 
-// Poke exists so the locks fixture has a layered callee to re-enter.
+// Poke exists so the lock fixture has a layered callee to re-enter.
 func Poke() {}

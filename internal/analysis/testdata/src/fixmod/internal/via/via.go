@@ -1,4 +1,4 @@
-// Package via is the fixture home of the layering and costcharge cases.
+// Package via is the fixture home of the layering and chargeflow cases.
 package via
 
 import (
@@ -19,7 +19,7 @@ func (p *Port) ChargeHost(d int64) {}
 
 // UnchargedSend reaches the fabric without paying — must flag.
 func (n *Network) UnchargedSend() {
-	n.cluster.Send(64) // costcharge violation: no ChargeHost in this body
+	n.cluster.Send(64) // chargeflow violation: exported, never charges
 }
 
 // ChargedSend pays host cost in the same body — must NOT flag.

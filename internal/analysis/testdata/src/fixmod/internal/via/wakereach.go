@@ -4,9 +4,9 @@
 package via
 
 // failQuiet moves queued descriptors into a waiter-visible status and
-// deliberately does not wake: its callers own the obligation. (The per-body
-// waitwake rule flags it here because the fixture policy strips the
-// allowlist; wakereach instead verifies the callers below.)
+// deliberately does not wake: its callers own the obligation. It is not
+// flagged here: it is unexported and only in-scope functions call it, so
+// wakereach follows the obligation into the callers below.
 func failQuiet(vi *VI, s Status) {
 	for _, d := range vi.sendQ {
 		d.Status = s

@@ -3,39 +3,52 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/types"
 	"sort"
 )
 
-// WakeReachAnalyzer is the interprocedural extension of waitwake: a
-// waiter-visible state transition made anywhere in a call chain must be
+// wakereach abstract states (bit indices into the dataflow bitset): whether
+// an un-woken transition is pending, and whether a deferred waker is armed
+// (a deferred waker runs at return, after every later transition, so it
+// clears pending at the exit no matter what follows it textually).
+const (
+	wwPending  = 1 << 0
+	wwDeferred = 1 << 1
+)
+
+// WakeReachAnalyzer enforces the wait/wake pairing on the VIA state machine:
+// a waiter-visible state transition made anywhere in a call chain must be
 // reachable by a wake through the call graph before the obligation escapes
-// the waitwake scope. Where waitwake trusts its allowlist ("the callers
-// wake"), this rule propagates the obligation into those callers and
-// checks that they actually do.
+// the provider. A helper that leaves the wake to its callers is not trusted
+// on its word: the obligation propagates into those callers, and the rule
+// checks that they actually wake.
 func WakeReachAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "wakereach",
 		Doc:  "a park-visible transition must be reached by a wake through the call graph",
-		Explain: `docs/ARCHITECTURE.md, "Enforced invariants": a process parked in
-VipRecvWait/WaitActivity runs again only when a completion or state change
-wakes it, so every transition into a waiter-visible state owes a
-notifyActivity before control leaves the provider. The PR 3 VI.Close hang
-is the motivating case: Close failed pending descriptors (a transition
-helpers made on its behalf) and returned without the wake, leaving a
-parked RecvWait asleep forever in virtual time. The per-body waitwake
-rule catches this shape only when transition and return share a function;
-helpers like failPending are excused by allowlist with the *claim* that
-every caller wakes. This rule verifies the claim: it computes, over the
-shared call graph, alwaysWakes(F) — every path through F wakes — and
-owesWake(F) — some path transitions (directly, or by calling an owing
-helper) and returns without a wake (direct, deferred, or via an
-alwaysWakes callee). The obligation may flow upward between in-scope
-functions, because a caller can legitimately own the wake; the diagnostic
-fires when an owing function's obligation escapes — it is exported, is
-called from outside Policy.WaitWakeScope, or has no module callers at
-all — so no caller inside the provider can discharge it. Owner-thread
-entry points whose caller is by definition not parked are justified in
-Policy.WakeReachAllow.`,
+		Explain: `docs/ARCHITECTURE.md, "Enforced invariants": the paper's on-demand design
+blocks inside VipRecvWait/WaitActivity until "something observable happened
+on the port" — the waiting process is parked in virtual time and runs again
+only when a completion or state change wakes it. That makes every transition
+into a waiter-visible state (StatusSuccess, StatusDisconnected, ViError,
+ViClosed, ...) half of a contract: the other half is a notifyActivity call
+before control leaves the provider, or the waiter sleeps forever and the
+simulation deadlocks with virtual time unable to advance. The PR 3 VI.Close
+hang is the motivating case: Close failed pending descriptors (a transition
+helpers made on its behalf) and returned without the wake, leaving a parked
+RecvWait asleep forever. Assigning a value other than a listed
+non-observable constant to a Policy.WaitWakeStates location raises the
+obligation; a Policy.WaitWakeWakers call (inline, or deferred) discharges
+it. Over the shared call graph the rule computes alwaysWakes(F) — every
+path through F wakes — and owesWake(F) — some path transitions (directly,
+or by calling an owing helper) and returns without a wake (direct,
+deferred, or via an alwaysWakes callee). The obligation may flow upward
+between in-scope functions, because a caller can legitimately own the
+wake; the diagnostic fires when an owing function's obligation escapes —
+it is exported, is called from outside Policy.WaitWakeScope, or has no
+module callers at all — so no caller inside the provider can discharge
+it. Owner-thread entry points whose caller is by definition not parked are
+justified in Policy.WakeReachAllow.`,
 		Run: runWakeReach,
 	}
 }
@@ -92,12 +105,12 @@ func runWakeReach(m *Module, p *Policy) []Diagnostic {
 		exit := exitMayState(body, 1<<0, func(node ast.Node, in uint64) uint64 {
 			if def, ok := node.(*ast.DeferStmt); ok {
 				if wwIsWakerCall(m, p, f.Pkg, def.Call) || wwLitContainsWaker(m, p, f.Pkg, def.Call) {
-					return lkApply(in, func(s int) int { return 1 })
+					return applyStates(in, func(s int) int { return 1 })
 				}
 				return in
 			}
 			if wakesHere(f.Pkg, node) {
-				return lkApply(in, func(s int) int { return 1 })
+				return applyStates(in, func(s int) int { return 1 })
 			}
 			return in
 		})
@@ -127,10 +140,8 @@ func runWakeReach(m *Module, p *Policy) []Diagnostic {
 			exit := exitMayState(u.body, 1<<0, func(node ast.Node, in uint64) uint64 {
 				return wrTransfer(m, p, f.Pkg, ip, always, owes, node, in, &firstTrigger)
 			})
-			for s := 0; s < wwStates; s++ {
-				if exit&(1<<s) == 0 || s&wwPending == 0 || s&wwDeferred != 0 {
-					continue
-				}
+			// Owing at exit: pending with no deferred waker armed.
+			if exit&(1<<wwPending) != 0 {
 				owes[key] = true
 				if witness[key] == nil && firstTrigger != nil {
 					witness[key] = firstTrigger
@@ -163,7 +174,7 @@ func runWakeReach(m *Module, p *Policy) []Diagnostic {
 		default:
 			for _, c := range callers {
 				if !inScope(c) {
-					escape = fmt.Sprintf("it is called from %s, outside the waitwake scope", c)
+					escape = fmt.Sprintf("it is called from %s, outside Policy.WaitWakeScope", c)
 					break
 				}
 			}
@@ -178,26 +189,26 @@ func runWakeReach(m *Module, p *Policy) []Diagnostic {
 		ds = append(ds, Diagnostic{
 			Pos:  m.Position(pos.Pos()),
 			Rule: "wakereach",
-			Message: fmt.Sprintf("%s moves state a blocked waiter observes (directly or via a helper) and can return without any wake reaching it: %s; a parked WaitActivity would sleep forever — wake on every path, or justify the owner-thread contract in Policy.WakeReachAllow",
+			Message: fmt.Sprintf("%s moves state a blocked waiter observes (directly or via a helper) and can return without any wake reaching it: %s; a parked WaitActivity would sleep forever — wake (notifyActivity) on every path, or justify the owner-thread contract in Policy.WakeReachAllow",
 				key, escape),
 		})
 	}
 	return ds
 }
 
-// wrTransfer folds one CFG node into the wwPending/wwDeferred state set,
-// extending the waitwake transfer with interprocedural effects: a call to
-// an owing helper raises the obligation; a call to an alwaysWakes callee
-// discharges it.
+// wrTransfer folds one CFG node into the wwPending/wwDeferred state set: a
+// waiter-visible assignment or a call to an owing helper raises the
+// obligation; a waker call or a call to an alwaysWakes callee discharges
+// it; a deferred waker arms the deferred bit.
 func wrTransfer(m *Module, p *Policy, pkg *Package, ip *Interproc, always, owes map[string]bool, node ast.Node, in uint64, firstTrigger *ast.Node) uint64 {
 	if def, ok := node.(*ast.DeferStmt); ok {
 		if wwIsWakerCall(m, p, pkg, def.Call) || wwLitContainsWaker(m, p, pkg, def.Call) {
-			return wwApply(in, func(s int) int { return s | wwDeferred })
+			return applyStates(in, func(s int) int { return s | wwDeferred })
 		}
 		return in
 	}
 	out := in
-	raise := len(wwTriggers(m, p, pkg, node, false)) > 0
+	raise := wwHasTrigger(m, p, pkg, node)
 	wake := false
 	inspectSkipLits(node, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -227,10 +238,95 @@ func wrTransfer(m *Module, p *Policy, pkg *Package, ip *Interproc, always, owes 
 		if *firstTrigger == nil {
 			*firstTrigger = node
 		}
-		out = wwApply(out, func(s int) int { return s | wwPending })
+		out = applyStates(out, func(s int) int { return s | wwPending })
 	}
 	if wake {
-		out = wwApply(out, func(s int) int { return s &^ wwPending })
+		out = applyStates(out, func(s int) int { return s &^ wwPending })
 	}
 	return out
+}
+
+// wwHasTrigger reports whether node (not descending into literals — those
+// are separate units) contains a waiter-visible state assignment: the LHS
+// is a selector of a Policy.WaitWakeStates type and the RHS is not one of
+// the type's listed non-observable constants. An RHS the analysis cannot
+// resolve to a constant counts (conservative: failPending's parameterized
+// status is a trigger, verified against its callers).
+func wwHasTrigger(m *Module, p *Policy, pkg *Package, node ast.Node) bool {
+	found := false
+	inspectSkipLits(node, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || found {
+			return !found
+		}
+		for i, lhs := range as.Lhs {
+			se, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+			if !ok {
+				continue
+			}
+			named, ok := pkg.Info.TypeOf(se).(*types.Named)
+			if !ok || named.Obj().Pkg() == nil {
+				continue
+			}
+			qual := relQualified(m.Path, named.Obj().Pkg().Path()) + "." + named.Obj().Name()
+			nonObservable, watched := p.WaitWakeStates[qual]
+			if !watched {
+				continue
+			}
+			if len(as.Lhs) == len(as.Rhs) && wwIsNonObservableConst(pkg, as.Rhs[i], nonObservable) {
+				continue
+			}
+			found = true
+			return false
+		}
+		return true
+	})
+	return found
+}
+
+func wwIsNonObservableConst(pkg *Package, rhs ast.Expr, nonObservable []string) bool {
+	var obj types.Object
+	switch e := ast.Unparen(rhs).(type) {
+	case *ast.Ident:
+		obj = pkg.Info.Uses[e]
+	case *ast.SelectorExpr:
+		obj = pkg.Info.Uses[e.Sel]
+	default:
+		return false
+	}
+	c, ok := obj.(*types.Const)
+	if !ok {
+		return false
+	}
+	for _, name := range nonObservable {
+		if c.Name() == name {
+			return true
+		}
+	}
+	return false
+}
+
+func wwIsWakerCall(m *Module, p *Policy, pkg *Package, call *ast.CallExpr) bool {
+	obj := calleeObject(pkg.Info, call)
+	if obj == nil {
+		return false
+	}
+	return p.WaitWakeWakers[relQualified(m.Path, objectQualifiedName(obj))]
+}
+
+// wwLitContainsWaker reports whether a deferred `func() { ... }()` literal
+// contains a waker call anywhere in its body.
+func wwLitContainsWaker(m *Module, p *Policy, pkg *Package, call *ast.CallExpr) bool {
+	lit, ok := call.Fun.(*ast.FuncLit)
+	if !ok {
+		return false
+	}
+	found := false
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		if c, ok := n.(*ast.CallExpr); ok && wwIsWakerCall(m, p, pkg, c) {
+			found = true
+		}
+		return !found
+	})
+	return found
 }

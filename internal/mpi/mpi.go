@@ -25,7 +25,6 @@ import (
 	"viampi/internal/fabric"
 	"viampi/internal/obs"
 	"viampi/internal/simnet"
-	"viampi/internal/trace"
 	"viampi/internal/via"
 )
 
@@ -103,17 +102,11 @@ type Config struct {
 	TuneCost   func(*via.CostModel)
 	TuneFabric func(*fabric.Config)
 
-	// Trace, when set, records every point-to-point message (user and
-	// collective-internal) for communication-pattern analysis. It is fed
-	// from the observability bus (an Obs bus is created implicitly when
-	// only Trace is set).
-	Trace *trace.Recorder
-
 	// Obs, when set, is the observability event bus: every layer (simnet,
 	// fabric, via, core, mpi) stamps structured events onto it in virtual
-	// time. Attach an obs.Recorder for Perfetto export or an obs.Collector
-	// for metrics before calling Run. Nil disables all instrumentation at
-	// zero per-event cost.
+	// time. Attach an obs.Recorder for Perfetto export, an obs.Collector
+	// for metrics, or a trace.Recorder for communication matrices before
+	// calling Run. Nil disables all instrumentation at zero per-event cost.
 	Obs *obs.Bus
 
 	// Profile enables per-call time accounting (PMPI-style); results are
@@ -297,7 +290,7 @@ func (w *World) WritePhases(out io.Writer) {
 		rows = append(rows, obs.PhaseRow{Rank: rs.Rank, Elapsed: int64(w.Elapsed), P: rs.Phases})
 	}
 	if len(rows) == 0 {
-		fmt.Fprintln(out, "phases: empty (run with Config.Obs or Config.Trace set)")
+		fmt.Fprintln(out, "phases: empty (run with Config.Obs set)")
 		return
 	}
 	obs.WritePhaseTable(out, rows)
@@ -316,15 +309,7 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 	if cfg.Deadline > 0 {
 		sim.SetDeadline(simnet.Time(cfg.Deadline))
 	}
-	bus := cfg.Obs
-	if bus == nil && cfg.Trace != nil {
-		// Tracing rides on the event bus; create a private one.
-		bus = obs.NewBus()
-	}
-	sim.SetObs(bus)
-	if cfg.Trace != nil {
-		cfg.Trace.Attach(bus)
-	}
+	sim.SetObs(cfg.Obs)
 	net := via.NewNetwork(sim, fcfg, cfg.cost)
 	if cfg.Faults != nil {
 		if cfg.Faults.Seed == 0 {
@@ -486,7 +471,7 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 	world.Elapsed = simnet.Duration(sim.Now())
 	// Close the observable record: the run's elapsed virtual time and world
 	// size, emitted exactly once after the last rank finishes.
-	bus.Emit(obs.Event{T: int64(world.Elapsed), Kind: obs.EvRunEnd, Rank: -1, Peer: -1, A: int64(n)})
+	cfg.Obs.Emit(obs.Event{T: int64(world.Elapsed), Kind: obs.EvRunEnd, Rank: -1, Peer: -1, A: int64(n)})
 	if net.DroppedNoDescriptor > 0 {
 		return world, fmt.Errorf("mpi: flow control violated: %d receives had no descriptor", net.DroppedNoDescriptor)
 	}

@@ -63,7 +63,6 @@ func (l *EventLog) Emit(kind obs.Kind, rank, peer int32, a, b, c int64, name str
 		return
 	}
 	e := obs.Event{
-		T:    time.Since(l.base).Nanoseconds(),
 		Kind: kind,
 		Rank: rank,
 		Peer: peer,
@@ -71,6 +70,8 @@ func (l *EventLog) Emit(kind obs.Kind, rank, peer int32, a, b, c int64, name str
 		Name: name,
 	}
 	l.mu.Lock()
+	// Stamp under the lock, so stamps are monotone in log order.
+	e.T = time.Since(l.base).Nanoseconds()
 	if l.ring != nil {
 		l.ring.Consume(e)
 	}

@@ -67,6 +67,20 @@ func TestEventLogStream(t *testing.T) {
 		t.Fatalf("recv: %q %v", got, err)
 	}
 
+	// Seal only once both managers have quiesced. The payload can arrive
+	// before the sender's markUp logs conn.up and fifo.drain, and before
+	// the receiver's own markUp runs; both log before closing upped. Close
+	// then waits out any establish call still resolving a crossing dial.
+	for i, m := range mgrs {
+		select {
+		case <-m.channel(1 - i).upped:
+		case <-time.After(tmo):
+			t.Fatalf("rank %d: channel to rank %d never came up", i, 1-i)
+		}
+	}
+	for _, m := range mgrs {
+		m.Close()
+	}
 	for i, log := range logs {
 		if _, _, err := log.CloseStream(); err != nil {
 			t.Fatalf("sealing log %d: %v", i, err)
@@ -93,15 +107,15 @@ func TestEventLogStream(t *testing.T) {
 	}
 	k0, k1 := kinds(bundles[0]), kinds(bundles[1])
 	// The sender parked its first message behind the dial; the receiver saw
-	// the request arrive (adoption or its own receiver-side dial) and the
-	// payload.
+	// the payload. Either side may have dialed: the sender's dial, the
+	// receiver-side dial of Recv, or both crossing.
 	if k0[obs.EvViCreate] == 0 || k0[obs.EvFifoPark] == 0 || k0[obs.EvConnUp] == 0 || k0[obs.EvFifoDrain] == 0 {
 		t.Fatalf("sender story incomplete: %v", k0)
 	}
 	if k1[obs.EvViCreate] == 0 || k1[obs.EvConnUp] == 0 || k1[obs.EvMsgRecv] == 0 {
 		t.Fatalf("receiver story incomplete: %v", k1)
 	}
-	if k0[obs.EvConnRequest]+k1[obs.EvConnAccept] == 0 {
+	if k0[obs.EvConnRequest]+k1[obs.EvConnAccept]+k1[obs.EvConnRequest]+k0[obs.EvConnAccept] == 0 {
 		t.Fatalf("no dial recorded on either side: %v / %v", k0, k1)
 	}
 	// Wall-clock stamps are monotone within one log (a single mutex orders

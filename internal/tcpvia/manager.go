@@ -28,6 +28,7 @@ type Manager struct {
 	timeout  time.Duration
 	closed   bool
 	adoptWG  sync.WaitGroup
+	dialWG   sync.WaitGroup // background establish calls (Send, Recv)
 
 	// metricsMu guards metrics alone (the registry is not goroutine-safe
 	// and this stack is genuinely concurrent). It is a leaf lock: never
@@ -299,6 +300,17 @@ func (m *Manager) establish(rank int) (*Channel, error) {
 	return ch, nil
 }
 
+// establishAsync runs establish in the background, tracked so Close can
+// wait for it. A failed dial leaves the FIFO parked; Recv and timeouts
+// surface it.
+func (m *Manager) establishAsync(rank int) {
+	m.dialWG.Add(1)
+	go func() {
+		defer m.dialWG.Done()
+		_, _ = m.establish(rank)
+	}()
+}
+
 // markUp flips the channel and drains its FIFO in order (paper §3.4). The
 // channel lock is held across the drain so sends racing the transition
 // queue behind the parked messages instead of overtaking them.
@@ -344,11 +356,7 @@ func (m *Manager) Send(rank int, data []byte) error {
 		m.count("tcpvia.fifo.parked", 1)
 		m.logEvent(obs.EvFifoPark, rank, int64(depth), int64(len(data)))
 		if first {
-			go func() {
-				if _, err := m.establish(rank); err != nil {
-					_ = err // the FIFO stays parked; Recv/timeouts surface it
-				}
-			}()
+			m.establishAsync(rank)
 		}
 		return nil
 	}
@@ -377,12 +385,17 @@ func (m *Manager) Recv(rank int, timeout time.Duration) ([]byte, error) {
 		select {
 		case <-ch.upped:
 		default:
-			go m.establish(rank)
+			m.establishAsync(rank)
 		}
 	}
 	buf, ln, err := ch.Vi.RecvWait(timeout)
 	if err != nil {
 		return nil, err
+	}
+	// A delivered message proves the connection is up, even when the
+	// handshake goroutine that brought it up has not run markUp yet.
+	if ch.Vi.State() == Connected {
+		m.markUp(ch)
 	}
 	out := make([]byte, ln)
 	copy(out, buf[:ln])
@@ -406,8 +419,9 @@ func (m *Manager) Connections() int {
 	return n
 }
 
-// Close tears down all channels and stops the snapshot loop (writing one
-// final snapshot).
+// Close tears down all channels, waits for background dials to finish, and
+// stops the snapshot loop (writing one final snapshot). Once it returns,
+// the manager emits no further events.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -429,4 +443,5 @@ func (m *Manager) Close() {
 			ch.Vi.Close()
 		}
 	}
+	m.dialWG.Wait()
 }

@@ -36,6 +36,7 @@ var (
 	ErrRejected     = errors.New("tcpvia: connection request rejected")
 	ErrTooManyVIs   = errors.New("tcpvia: VI limit exceeded")
 	ErrNoDescriptor = errors.New("tcpvia: message arrived with no posted receive descriptor")
+	ErrCrossing     = errors.New("tcpvia: crossing dial kept; request answered busy")
 )
 
 // ViState mirrors the VIA connection state machine.
@@ -318,10 +319,12 @@ func (n *Node) handleInbound(conn net.Conn) {
 		}
 		// Their dial wins: adopt this connection for our dialing VI.
 		delete(n.outgoing, disc)
+		out.writeMu.Lock()
 		out.adoptLocked(conn, viID)
 		n.stats.VisConnected++
 		n.mu.Unlock()
 		writeFrame(conn, kAccept, u32(out.id))
+		out.writeMu.Unlock()
 		out.startReader()
 		return
 	}
@@ -384,8 +387,11 @@ func (n *Node) waitLocked(deadline time.Time) {
 
 // Accept completes a pending request on vi. The VI may be Idle, or
 // Connecting with a matching (disc, peer) — the latter is a crossing dial
-// resolving through the request queue; the VI adopts the inbound connection
-// and the outstanding dial completes benignly when it observes the state.
+// resolving through the request queue, settled by the same tie-break as
+// handleInbound: when the peer's dial wins, the VI adopts the inbound
+// connection and the outstanding dial completes benignly when it observes
+// the state; when this node's dial wins, the request is answered busy, the
+// outstanding dial connects the VI, and Accept returns ErrCrossing.
 func (n *Node) Accept(req *PeerRequest, vi *VI) error {
 	req.doneMu.Lock()
 	defer req.doneMu.Unlock()
@@ -399,17 +405,30 @@ func (n *Node) Accept(req *PeerRequest, vi *VI) error {
 		vi.remote = req.From
 		vi.disc = req.Disc
 	case vi.state == Connecting && vi.disc == req.Disc && vi.remote == req.From:
+		if n.addr < req.From {
+			// Adopting here would leave each side on a different
+			// connection, each closing the one the other kept.
+			req.done = true
+			n.mu.Unlock()
+			writeFrame(req.conn, kBusy, nil)
+			req.conn.Close()
+			return ErrCrossing
+		}
 		delete(n.outgoing, req.Disc)
 	default:
+		st := vi.state
 		n.mu.Unlock()
-		return fmt.Errorf("%w: Accept in state %v", ErrBadState, vi.state)
+		return fmt.Errorf("%w: Accept in state %v", ErrBadState, st)
 	}
 	req.done = true
+	vi.writeMu.Lock()
 	vi.adoptLocked(req.conn, req.viID)
 	n.stats.VisConnected++
 	n.mu.Unlock()
 
-	if err := writeFrame(req.conn, kAccept, u32(vi.id)); err != nil {
+	err := writeFrame(req.conn, kAccept, u32(vi.id))
+	vi.writeMu.Unlock()
+	if err != nil {
 		return err
 	}
 	vi.startReader()
@@ -434,9 +453,9 @@ func (req *PeerRequest) Reject() {
 // connection deterministically.
 func (n *Node) ConnectPeer(vi *VI, remote string, disc uint64, timeout time.Duration) error {
 	n.mu.Lock()
-	if vi.state != Idle {
+	if st := vi.state; st != Idle {
 		n.mu.Unlock()
-		return fmt.Errorf("%w: ConnectPeer in state %v", ErrBadState, vi.state)
+		return fmt.Errorf("%w: ConnectPeer in state %v", ErrBadState, st)
 	}
 	// A matching request may already be queued: adopt it directly.
 	for i, r := range n.pending {
@@ -538,7 +557,11 @@ func (n *Node) failDial(vi *VI, disc uint64) {
 	}
 }
 
-// adoptLocked binds a TCP connection to the VI (node lock held).
+// adoptLocked binds a TCP connection to the VI (node lock held). An
+// accepting side calls it holding vi.writeMu and releases that only once
+// its accept frame is written: the VI turns Connected here, and a send
+// racing in must not put a data frame on the wire ahead of the accept,
+// which the dialer would read as a broken handshake.
 func (vi *VI) adoptLocked(conn net.Conn, remoteVi uint32) {
 	vi.conn = conn
 	vi.remoteVi = remoteVi

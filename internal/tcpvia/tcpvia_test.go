@@ -2,7 +2,10 @@ package tcpvia
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -176,6 +179,98 @@ func TestCrossingDialsResolveToOneConnection(t *testing.T) {
 		}
 		a.Close()
 		b.Close()
+	}
+}
+
+// TestCrossingDialThroughRequestQueue forces, step by step, the crossing
+// the concurrent tests only hit under load: the peer's HELLO is queued
+// before this node dials, and the queued request is answered while this
+// node's own dial is outstanding. The peer (a scripted socket holding the
+// larger address) follows the tie-break every node applies — the
+// connection dialed by the smaller address survives — so this node must
+// answer its request busy and keep its own dial. Adopting the request
+// instead leaves the two sides on different connections, each closing the
+// one the other kept, and the VI ends Errored.
+func TestCrossingDialThroughRequestQueue(t *testing.T) {
+	// Take two ports: the node gets the smaller address, the peer the larger.
+	ls := make([]net.Listener, 2)
+	for i := range ls {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		ls[i] = l
+	}
+	if ls[1].Addr().String() < ls[0].Addr().String() {
+		ls[0], ls[1] = ls[1], ls[0]
+	}
+	ls[0].Close()
+	n, err := Listen(Config{ListenAddr: ls[0].Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	ln, peer := ls[1], ls[1].Addr().String()
+	const disc, peerVi = 42, 7
+	vi, err := n.CreateVi()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// 1. The peer dials first; the node is not dialing, so the HELLO queues.
+	in, err := net.Dial("tcp", n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	hello := make([]byte, 12+len(peer))
+	binary.LittleEndian.PutUint64(hello, disc)
+	binary.LittleEndian.PutUint32(hello[8:], peerVi)
+	copy(hello[12:], peer)
+	if err := writeFrame(in, kHello, hello); err != nil {
+		t.Fatal(err)
+	}
+	req, err := n.WaitRequest(disc, tmo)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// 2. The node dials before the request is answered: the crossing.
+	dialed := make(chan error, 1)
+	go func() { dialed <- n.ConnectPeer(vi, peer, disc, tmo) }()
+	out, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	if kind, _, err := readFrame(out); err != nil || kind != kHello {
+		t.Fatalf("node's dial sent frame %d (%v), want HELLO", kind, err)
+	}
+
+	// 3. The queued request resolves while the node's dial is outstanding.
+	if err := n.Accept(req, vi); !errors.Is(err, ErrCrossing) {
+		t.Fatalf("Accept during an outstanding winning dial = %v, want ErrCrossing", err)
+	}
+	if kind, _, err := readFrame(in); err != nil || kind != kBusy {
+		t.Fatalf("queued request answered with frame %d (%v), want busy: the node must keep its own dial", kind, err)
+	}
+
+	// 4. The peer adopts the node's dial; data rides that connection.
+	if err := writeFrame(out, kAccept, u32(peerVi)); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-dialed; err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	if _, err := vi.PostSend([]byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	if kind, payload, err := readFrame(out); err != nil || kind != kData || string(payload) != "kept" {
+		t.Fatalf("data frame %d %q (%v), want the payload on the surviving connection", kind, payload, err)
+	}
+	if st := vi.State(); st != Connected {
+		t.Fatalf("VI state %v after the crossing, want connected", st)
 	}
 }
 
