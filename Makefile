@@ -78,18 +78,22 @@ bench-smoke:
 # Scheduler-core wall-clock benchmarks: the measurement rail for the
 # zero-allocation event loop. 0 allocs/op on BenchmarkSimCore is an
 # invariant (also enforced statically by the hotalloc analyzer).
+# BenchmarkEvictChurnWallClock is the connection-churn rail: VI-cap
+# eviction, reconnect and eager-pool recycling.
 bench-sim:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimCore|BenchmarkPingpongWallClock' -benchmem ./internal/simnet ./
+	$(GO) test -run '^$$' -bench 'BenchmarkSimCore|BenchmarkPingpongWallClock|BenchmarkEvictChurnWallClock' -benchmem ./internal/simnet ./
 
 # Scheduler-core snapshot; events/virtual_ns are deterministic, wall fields
 # are machine-dependent (see the note field in the JSON).
 bench-sim-snapshot:
 	$(GO) run ./cmd/benchsnap -simcore -out BENCH_simcore.json
 
-# Millisecond-scale pass over the simcore rail; part of `make check`.
+# Millisecond-scale pass over the simcore rail, plus one iteration of the
+# churn rail so it keeps building and running; part of `make check`.
 bench-sim-smoke:
 	$(GO) run ./cmd/benchsnap -simcore -smoke > /dev/null
 	$(GO) test -run '^$$' -bench BenchmarkSimCore -benchtime 1000x ./internal/simnet > /dev/null
+	$(GO) test -run '^$$' -bench BenchmarkEvictChurnWallClock -benchtime 1x . > /dev/null
 
 # Thousand-rank worlds, run uncached with a hard wall-time lid: the 1024-
 # and 2048-rank on-demand rings plus the O(n)-startup-events assertion.

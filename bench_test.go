@@ -292,6 +292,45 @@ func BenchmarkPingpongWallClock(b *testing.B) {
 	}
 }
 
+// BenchmarkEvictChurnWallClock is the wall-clock rail for connection churn:
+// 64 bvia ranks capped at 4 VIs each exchange with ring-offset partners
+// (12 of them, ±{1,2,3,5,8,13}), so most steps evict a channel and
+// reconnect another. Eviction teardown, VI create/close and eager-pool
+// recycling dominate; the per-message work is a 256-byte Sendrecv.
+func BenchmarkEvictChurnWallClock(b *testing.B) {
+	const procs, steps = 64, 48
+	offsets := []int{1, 2, 3, 5, 8, 13}
+	b.ReportAllocs()
+	var created int
+	for i := 0; i < b.N; i++ {
+		cfg := mpi.Config{Procs: procs, Device: "bvia", Policy: "ondemand", MaxVIs: 4,
+			Deadline: 600 * simnet.Second, Seed: 1}
+		w, err := mpi.Run(cfg, func(r *mpi.Rank) {
+			c := r.World()
+			me := r.Rank()
+			out, in := make([]byte, 256), make([]byte, 256)
+			for s := 0; s < steps; s++ {
+				off := offsets[s%len(offsets)]
+				if s/len(offsets)%2 == 1 {
+					off = procs - off
+				}
+				dst, src := (me+off)%procs, (me-off+procs)%procs
+				if _, err := c.Sendrecv(dst, s, out, src, s, in); err != nil {
+					r.Abort(1, err.Error())
+				}
+			}
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		created = 0
+		for _, rs := range w.Ranks {
+			created += rs.VisCreated
+		}
+	}
+	b.ReportMetric(float64(created), "vis_created")
+}
+
 // BenchmarkSimulatorThroughput measures raw simulator event throughput via a
 // dense all-to-all, to track harness overhead itself.
 func BenchmarkSimulatorThroughput(b *testing.B) {

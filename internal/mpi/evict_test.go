@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"viampi/internal/obs"
@@ -222,5 +223,185 @@ func TestFaultRetrySucceeds(t *testing.T) {
 	}
 	if reg.Counter("conn.retries") == 0 {
 		t.Error("no retries recorded: establishment should have needed at least one")
+	}
+}
+
+// TestEvictionRecyclesEagerPool churns connections through the eager-pool
+// free list. Under MaxVIs: 1 with XOR pairings every rank switches partner
+// at once, so both ends of a channel usually pick each other as the victim:
+// crossing BYEs, whose teardown runs inside the CQ drain. Messages alternate
+// between near-threshold eager sizes and 8 bytes, so a recycled buffer
+// holds the stale tail of a longer message when a short one lands in it;
+// every payload, every Status.Count and the untouched tail of every receive
+// buffer must still check exactly. After each partner the free list's
+// ownership rule is checked (checkEagerFree).
+func TestEvictionRecyclesEagerPool(t *testing.T) {
+	// Both devices: on bvia the crossing teardown runs inside handlePacket
+	// (the descriptor's re-post fails); cLAN's faster DISC also lands
+	// completed descriptors in the drain's unknown-VI branch.
+	for _, dev := range []string{"bvia", "clan"} {
+		t.Run(dev, func(t *testing.T) { recycleChurn(t, dev) })
+	}
+}
+
+func recycleChurn(t *testing.T, device string) {
+	const (
+		n      = 8
+		rounds = 3
+		iters  = 4
+		big    = 4900 // just under the default 5000-byte eager threshold
+	)
+	bus := obs.NewBus()
+	reg := obs.NewRegistry()
+	obs.NewCollector(reg).Attach(bus)
+	fill := func(b []byte, src, dst, k, i int) {
+		for j := range b {
+			b[j] = byte(src*31 + dst*17 + k*7 + i*13 + j)
+		}
+	}
+	cfg := Config{Procs: n, Device: device, Policy: "ondemand", MaxVIs: 1,
+		Deadline: 120 * simnet.Second, Seed: 5, Obs: bus}
+	_, err := Run(cfg, func(r *Rank) {
+		c := r.World()
+		me := r.Rank()
+		out := make([]byte, big)
+		in := make([]byte, big+64)
+		want := make([]byte, big)
+		for round := 0; round < rounds; round++ {
+			for k := 1; k < n; k++ {
+				peer := me ^ k
+				for i := 0; i < iters; i++ {
+					size := 8
+					if (round+k+i)%2 == 0 {
+						size = big
+					}
+					fill(out[:size], me, peer, k, i)
+					fill(want[:size], peer, me, k, i)
+					for j := range in {
+						in[j] = 0xEE
+					}
+					st, err := c.Sendrecv(peer, k, out[:size], peer, k, in)
+					if err != nil {
+						r.Abort(1, err.Error())
+					}
+					if st.Count != size || !bytes.Equal(in[:size], want[:size]) {
+						r.Abort(1, fmt.Sprintf("rank %d from %d (k=%d i=%d): count %d want %d, or payload differs",
+							me, peer, k, i, st.Count, size))
+					}
+					for _, b := range in[size:] {
+						if b != 0xEE {
+							r.Abort(1, fmt.Sprintf("rank %d: bytes past Count written (k=%d i=%d)", me, k, i))
+						}
+					}
+				}
+				checkEagerFree(t, r)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := reg.Counter("conn.evictions"); ev == 0 {
+		t.Error("no evictions recorded: cap never engaged")
+	}
+	if rc := reg.Counter("events.conn.reconnect"); rc == 0 {
+		t.Error("no reconnects recorded: eviction never round-tripped")
+	}
+}
+
+// checkEagerFree asserts the eager free list's ownership rule: no
+// descriptor is on it twice, none is pending (still posted), and none is in
+// the pool of a live channel whose VI still holds it.
+func checkEagerFree(t *testing.T, r *Rank) {
+	t.Helper()
+	free := make(map[*via.Descriptor]bool, len(r.eagerFree))
+	for _, d := range r.eagerFree {
+		if free[d] {
+			t.Errorf("rank %d: descriptor %p on the eager free list twice", r.rank, d)
+		}
+		free[d] = true
+		if d.Status == via.StatusPending {
+			t.Errorf("rank %d: free descriptor %p is still posted", r.rank, d)
+		}
+		if len(d.Buf) != r.cfg.eagerBufSize() {
+			t.Errorf("rank %d: free descriptor buffer is %d bytes, want %d", r.rank, len(d.Buf), r.cfg.eagerBufSize())
+		}
+	}
+	for _, cs := range r.active {
+		for _, d := range cs.pool {
+			if free[d] && d.VI() == cs.ch.Vi {
+				t.Errorf("rank %d: free descriptor %p posted on the live VI to %d", r.rank, d, cs.peer)
+			}
+		}
+	}
+}
+
+// TestEvictionReconnectAllocBudget pins what the free list buys: once warm,
+// an evict→reconnect cycle re-posts recycled descriptors instead of
+// allocating a fresh eager pool. Under MaxVIs: 1 with XOR pairings every
+// phase evicts every rank's channel and connects each pair anew; rank 0
+// runs its phases under testing.AllocsPerRun and MemStats.TotalAlloc. One
+// evict→reconnect, both ends included, must allocate less than one pool's
+// buffers.
+func TestEvictionReconnectAllocBudget(t *testing.T) {
+	const (
+		n    = 4
+		warm = 2 * (n - 1)
+		runs = 20 // AllocsPerRun calls its function runs+1 times
+	)
+	var allocs float64
+	var allocBytes uint64
+	var poolBytes int
+	created := make([]int, n)
+	cfg := Config{Procs: n, Device: "bvia", Policy: "ondemand", MaxVIs: 1,
+		Deadline: 120 * simnet.Second, Seed: 1}
+	_, err := Run(cfg, func(r *Rank) {
+		c := r.World()
+		me := r.Rank()
+		out, in := make([]byte, 8), make([]byte, 8)
+		ph := 0
+		phase := func() {
+			peer := me ^ (1 + ph%(n-1))
+			ph++
+			if _, err := c.Sendrecv(peer, 0, out, peer, 0, in); err != nil {
+				r.Abort(1, err.Error())
+			}
+		}
+		for ph < warm {
+			phase()
+		}
+		created[me] = r.port.Stats().VisCreated
+		if me != 0 {
+			for i := 0; i <= runs; i++ {
+				phase()
+			}
+		} else {
+			poolBytes = r.cfg.CreditCount * r.cfg.eagerBufSize()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			allocs = testing.AllocsPerRun(runs, phase)
+			runtime.ReadMemStats(&after)
+			allocBytes = after.TotalAlloc - before.TotalAlloc
+		}
+		created[me] = r.port.Stats().VisCreated - created[me]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vis := 0
+	for _, k := range created {
+		vis += k
+	}
+	if vis != n*(runs+1) {
+		t.Fatalf("%d VIs created in %d phases, want %d: the cap did not evict and reconnect every phase",
+			vis, runs+1, n*(runs+1))
+	}
+	conns := float64(vis / 2)
+	perConn := float64(allocBytes) / conns
+	t.Logf("per evict→reconnect: %.0f allocs, %.0f bytes; one eager pool is %d bytes",
+		allocs*(runs+1)/conns, perConn, poolBytes)
+	if perConn >= float64(poolBytes) {
+		t.Errorf("an evict→reconnect cycle allocates %.0f bytes, want < %d (one eager pool)",
+			perConn, poolBytes)
 	}
 }

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"viampi/internal/core"
@@ -21,7 +22,8 @@ type chanState struct {
 	flowQ     []*pkt
 	userSends int64 // application messages addressed to this peer
 
-	memHandles []via.MemHandle // eager-pool registrations, released at teardown
+	memHandles []via.MemHandle   // eager-pool registrations, released at teardown
+	pool       []*via.Descriptor // eager receive descriptors posted on ch.Vi
 
 	// Graceful-teardown state (VI-cap eviction / remote disconnect).
 	closing      bool   // BYE handshake in progress; new sends are held
@@ -62,6 +64,12 @@ type Rank struct {
 	peakLive int          // high-water mark of len(active) (RankStats.PeakChans)
 	viToChan map[*via.VI]*chanState
 	addrs    []via.Addr // shared bootstrap table (world rank -> VIA address)
+
+	// eagerFree holds eager receive descriptors VIA can no longer touch,
+	// for growPool to re-post before it allocates. A descriptor joins it
+	// exactly once per use: at teardown if it was still posted, or in the
+	// CQ drain if it completed on a VI that went down (see reclaimPool).
+	eagerFree []*via.Descriptor
 
 	prq []*Request // posted receive queue, post order
 	umq []*umsg    // unexpected message queue, arrival order
@@ -214,8 +222,20 @@ func (r *Rank) growPool(cs *chanState, n int) {
 		return
 	}
 	cs.memHandles = append(cs.memHandles, h)
+	cs.pool = slices.Grow(cs.pool, n)
 	for i := 0; i < n; i++ {
-		d := &via.Descriptor{Buf: make([]byte, bufSize)}
+		// A recycled buffer keeps a previous message's bytes; that is
+		// harmless, as arrivals are read only up to XferLen, which the
+		// arriving message wrote in full.
+		var d *via.Descriptor
+		if k := len(r.eagerFree) - 1; k >= 0 {
+			d = r.eagerFree[k]
+			r.eagerFree[k] = nil
+			r.eagerFree = r.eagerFree[:k]
+		} else {
+			d = &via.Descriptor{Buf: make([]byte, bufSize)}
+		}
+		cs.pool = append(cs.pool, d)
 		if err := cs.ch.Vi.PostRecv(d); err != nil {
 			r.proc.Sim().Failf("mpi: rank %d prepost to peer %d: %v", r.rank, cs.peer, err)
 			return
@@ -294,6 +314,7 @@ func (r *Rank) teardownChannel(cs *chanState) {
 		}
 	}
 	cs.ch.Vi.Close()
+	r.reclaimPool(cs)
 	for _, h := range cs.memHandles {
 		if err := r.port.Memory().Deregister(h); err != nil {
 			r.proc.Sim().Failf("mpi: rank %d release eager pool for %d: %v", r.rank, cs.peer, err)
@@ -312,6 +333,21 @@ func (r *Rank) teardownChannel(cs *chanState) {
 			r.post(ncs, p)
 		}
 	}
+}
+
+// reclaimPool returns the eager descriptors the just-closed VI still held
+// to the free list: every one that did not complete, which Close has failed.
+// A completed one is in the CQ, or in the drain's hands, and progressStep
+// returns it when it finds the VI gone. The VI check skips a descriptor the
+// drain already returned (its re-post failed on a disconnected VI) and
+// another channel has since re-posted.
+func (r *Rank) reclaimPool(cs *chanState) {
+	for _, d := range cs.pool {
+		if d.VI() == cs.ch.Vi && d.Status != via.StatusSuccess {
+			r.eagerFree = append(r.eagerFree, d)
+		}
+	}
+	cs.pool = nil
 }
 
 // handleDisconnect adopts a VI the remote side closed. During a BYE
@@ -485,15 +521,20 @@ func (r *Rank) progressStep() {
 				r.proc.Sim().Failf("mpi: rank %d arrival on unknown VI", r.rank)
 				return
 			}
+			r.eagerFree = append(r.eagerFree, d)
 			continue
 		}
 		if d.Status != via.StatusSuccess {
 			continue // descriptor failed with the connection; ignore
 		}
 		r.handlePacket(cs, d.Buf[:d.XferLen])
-		// Recycle the pool buffer immediately.
+		// Recycle the pool buffer immediately. If the VI went down under
+		// handlePacket (crossing BYEs tear down from inside it), VIA no
+		// longer holds d: it goes back to the free list instead.
 		if err := vi.PostRecv(d); err == nil {
 			cs.freed++
+		} else {
+			r.eagerFree = append(r.eagerFree, d)
 		}
 	}
 
@@ -506,6 +547,7 @@ func (r *Rank) progressStep() {
 		}
 		for len(cs.flowQ) > 0 && cs.credits >= r.creditNeed(cs.flowQ[0]) {
 			p := cs.flowQ[0]
+			cs.flowQ[0] = nil
 			cs.flowQ = cs.flowQ[1:]
 			r.emit(cs, p)
 		}

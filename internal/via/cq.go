@@ -34,11 +34,17 @@ func (q *CQ) Done() (*VI, *Descriptor) {
 		return nil, nil
 	}
 	e := q.entries[0]
+	// Zero the popped slot: the dead prefix of the backing array would
+	// otherwise keep the descriptor and its (possibly closed) VI reachable.
+	q.entries[0] = cqEntry{}
 	q.entries = q.entries[1:]
 	// Detach the descriptor from its VI's posted queue.
-	for i, d := range e.vi.recvQ {
+	rq := e.vi.recvQ
+	for i, d := range rq {
 		if d == e.d {
-			e.vi.recvQ = append(e.vi.recvQ[:i], e.vi.recvQ[i+1:]...)
+			copy(rq[i:], rq[i+1:])
+			rq[len(rq)-1] = nil
+			e.vi.recvQ = rq[:len(rq)-1]
 			break
 		}
 	}

@@ -57,8 +57,12 @@ type Port struct {
 	owner *simnet.Proc
 	mem   *MemoryRegistry
 
+	// vis is indexed by VI id; a closed VI's slot is nil, so neither it nor
+	// the descriptors posted on it stay reachable from the port.
 	vis    []*VI
 	nextVi int
+	live   int // VIs created and not yet closed (the MaxVIsPerPort budget)
+	used   int // VIs that ever carried data in either direction (VisUsed)
 
 	outgoing        map[connKey]*VI // VIs with an outstanding REQ
 	pendingIncoming []*PeerRequest  // unmatched incoming REQs
@@ -182,19 +186,14 @@ func (p *Port) CreateViCQ(cq *CQ) (*VI, error) {
 	if p.closed {
 		return nil, ErrClosed
 	}
-	live := 0
-	for _, v := range p.vis {
-		if v != nil && v.state != ViClosed {
-			live++
-		}
-	}
-	if live >= p.net.cost.MaxVIsPerPort {
+	if p.live >= p.net.cost.MaxVIsPerPort {
 		return nil, fmt.Errorf("%w: %d", ErrTooManyVIs, p.net.cost.MaxVIsPerPort)
 	}
 	p.ChargeHost(p.net.cost.CreateViCost)
 	vi := &VI{port: p, id: p.nextVi, recvCQ: cq}
 	p.nextVi++
 	p.vis = append(p.vis, vi)
+	p.live++
 	p.net.nodes[p.node].openVIs++
 	p.stats.VisCreated++
 	p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvViCreate,
@@ -516,6 +515,7 @@ func (p *Port) RecvOob() (from Addr, data []byte, ok bool) {
 		return Addr{}, nil, false
 	}
 	m := p.oobQ[0]
+	p.oobQ[0] = oobMsg{}
 	p.oobQ = p.oobQ[1:]
 	return m.from, m.data, true
 }
@@ -533,7 +533,7 @@ func (p *Port) Close() {
 		return
 	}
 	for _, vi := range p.vis {
-		if vi != nil && vi.state != ViClosed {
+		if vi != nil {
 			vi.Close()
 		}
 	}
@@ -542,12 +542,4 @@ func (p *Port) Close() {
 
 // VisUsed counts VIs that carried at least one data message in either
 // direction — the numerator of the paper's resource-utilization metric.
-func (p *Port) VisUsed() int {
-	n := 0
-	for _, vi := range p.vis {
-		if vi != nil && (vi.usedTx || vi.usedRx) {
-			n++
-		}
-	}
-	return n
-}
+func (p *Port) VisUsed() int { return p.used }

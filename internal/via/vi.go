@@ -37,8 +37,7 @@ type VI struct {
 	seqOut uint64
 	seqIn  uint64
 
-	usedTx bool
-	usedRx bool
+	used bool // carried data in either direction; counted in Port.used
 }
 
 // ID returns the VI's id, unique within its port.
@@ -101,7 +100,7 @@ func (vi *VI) PostSend(d *Descriptor) error {
 		kind: kindData, dstVi: vi.remoteVi, seq: vi.seqOut,
 	})
 	vi.seqOut++
-	vi.usedTx = true
+	vi.markUsed()
 	vi.port.stats.MsgsSent++
 	vi.port.stats.BytesSent += int64(d.Len)
 	return nil
@@ -229,13 +228,22 @@ func (vi *VI) handleData(m *wireMsg) {
 		vi.seqIn++
 		d.Status = StatusSuccess
 		d.XferLen = m.total
-		vi.usedRx = true
+		vi.markUsed()
 		p.stats.MsgsRecv++
 		p.stats.BytesRecv += int64(m.total)
 		if vi.recvCQ != nil {
 			vi.recvCQ.push(vi, d)
 		}
 		p.notifyActivity()
+	}
+}
+
+// markUsed counts the VI in its port's VisUsed the first time it carries
+// data, in either direction.
+func (vi *VI) markUsed() {
+	if !vi.used {
+		vi.used = true
+		vi.port.used++
 	}
 }
 
@@ -279,6 +287,7 @@ func (vi *VI) SendDone() *Descriptor {
 	vi.port.ChargeHost(vi.port.net.cost.PollOverhead)
 	if len(vi.sendQ) > 0 && vi.sendQ[0].Done() {
 		d := vi.sendQ[0]
+		vi.sendQ[0] = nil
 		vi.sendQ = vi.sendQ[1:]
 		return d
 	}
@@ -299,6 +308,7 @@ func (vi *VI) RecvDone() *Descriptor {
 func (vi *VI) recvDone() *Descriptor {
 	if len(vi.recvQ) > 0 && vi.recvQ[0].Done() {
 		d := vi.recvQ[0]
+		vi.recvQ[0] = nil
 		vi.recvQ = vi.recvQ[1:]
 		return d
 	}
@@ -361,7 +371,9 @@ func (vi *VI) resetHandshake() {
 }
 
 // Close disconnects (notifying the peer) and destroys the VI, releasing its
-// NIC slot. Pending descriptors complete with StatusDisconnected.
+// NIC slot and its port slot: the port forgets the VI, so frames still
+// addressed to it are dropped and it is collectable once the caller lets go.
+// Pending descriptors complete with StatusDisconnected.
 func (vi *VI) Close() {
 	if vi.state == ViClosed {
 		return
@@ -381,6 +393,8 @@ func (vi *VI) Close() {
 	}
 	vi.failPending(StatusDisconnected)
 	vi.state = ViClosed
+	vi.port.vis[vi.id] = nil
+	vi.port.live--
 	vi.port.net.nodes[vi.port.node].openVIs--
 	// Like enterError: a waiter parked in WaitActivity must observe the
 	// descriptors that just failed, or it sleeps forever.
