@@ -109,8 +109,9 @@ scale-smoke:
 fault-smoke:
 	$(GO) test ./internal/mpi -run 'TestFaultMatrix|TestEviction' -count=1
 
-# Capture/replay round trip on the real binaries: record a run, re-render
-# the trace offline, require byte identity with the live artifact, then
+# Capture/replay round trip on the real binaries: record a run with every
+# report on, re-render the trace and the phase table offline, require byte
+# identity with the live artifacts, then
 # exercise -diff on both verdicts — same-Config runs (different seeds are
 # byte-identical under fault-free CG, so the diff must exit 0) and
 # different-policy runs (the diff must flag the divergence and exit 1).
@@ -120,9 +121,14 @@ replay-smoke:
 	set -e; \
 	$(GO) build -o $$tmp/mpirun-sim ./cmd/mpirun-sim; \
 	$(GO) build -o $$tmp/viampi-replay ./cmd/viampi-replay; \
-	$$tmp/mpirun-sim -np 8 -conn ondemand -seed 1 -record $$tmp/a.bin -trace $$tmp/live.json CG S > /dev/null; \
+	$$tmp/mpirun-sim -np 8 -conn ondemand -seed 1 -record $$tmp/a.bin -trace $$tmp/live.json \
+		-matrix -profile -phases CG S > $$tmp/live.txt; \
 	$$tmp/viampi-replay -trace $$tmp/replay.json $$tmp/a.bin > /dev/null; \
 	cmp -s $$tmp/live.json $$tmp/replay.json || { echo "replay-smoke: replayed trace differs from live artifact"; exit 1; }; \
+	awk '/^rank /{p=1} p&&/^$$/{exit} p' $$tmp/live.txt > $$tmp/live-phases.txt; \
+	test -s $$tmp/live-phases.txt || { echo "replay-smoke: live run printed no phase table"; exit 1; }; \
+	$$tmp/viampi-replay -phases $$tmp/a.bin > $$tmp/replay-phases.txt; \
+	cmp -s $$tmp/live-phases.txt $$tmp/replay-phases.txt || { echo "replay-smoke: replayed phase table differs from live run"; exit 1; }; \
 	$$tmp/viampi-replay -summary $$tmp/a.bin > /dev/null; \
 	$$tmp/mpirun-sim -np 8 -conn ondemand -seed 2 -record $$tmp/b.bin CG S > /dev/null; \
 	$$tmp/viampi-replay -diff $$tmp/a.bin $$tmp/b.bin > /dev/null \
@@ -131,7 +137,7 @@ replay-smoke:
 	if $$tmp/viampi-replay -diff $$tmp/a.bin $$tmp/c.bin > /dev/null; then \
 		echo "replay-smoke: diff failed to flag divergent runs"; exit 1; \
 	fi; \
-	echo "replay-smoke: record -> replay byte-identical; diff verdicts correct"
+	echo "replay-smoke: record -> replay trace and phase table byte-identical; diff verdicts correct"
 
 # The batch runner's merge-determinism contract on the real binary: the same
 # tiny grid rendered at -j1 and -j2 must be byte-identical (the in-tree

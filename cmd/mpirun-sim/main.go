@@ -18,7 +18,6 @@ import (
 	"viampi/internal/obs"
 	"viampi/internal/obs/capture"
 	"viampi/internal/simnet"
-	"viampi/internal/trace"
 	"viampi/internal/via"
 )
 
@@ -64,11 +63,12 @@ func main() {
 		Seed:     *seed,
 		Deadline: 8 * 3600 * simnet.Second,
 	}
-	cfg.Profile = *profile
 
+	// Every report is a subscriber on the run's observability bus; any
+	// requested report turns the bus on.
 	var flight *obs.Recorder
 	var reg *obs.Registry
-	if *traceTo != "" || *metrics || *phases || *record != "" || *matrix {
+	if *traceTo != "" || *metrics || *phases || *record != "" || *matrix || *profile {
 		cfg.Obs = obs.NewBus()
 	}
 	if *traceTo != "" {
@@ -103,11 +103,10 @@ func main() {
 		}
 		cw.Attach(cfg.Obs)
 	}
-	var rec *trace.Recorder
-	if *matrix {
-		rec = trace.New(*np, false)
-		rec.Attach(cfg.Obs)
-	}
+	traffic, calls, phaseTab := obs.NewTraffic(), obs.NewCallProfile(), obs.NewPhaseTable()
+	traffic.Attach(cfg.Obs)
+	calls.Attach(cfg.Obs)
+	phaseTab.Attach(cfg.Obs)
 	res, w, err := npb.Run(kern, class, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -120,14 +119,14 @@ func main() {
 	fmt.Printf("  VIs/process (avg)  : %.2f\n", w.AvgVIs())
 	fmt.Printf("  VI utilization     : %.2f\n", w.AvgUtilization())
 	fmt.Printf("  pinned memory total: %.1f kB\n", float64(w.TotalPinnedPeak())/1024)
-	if rec != nil {
+	if *matrix {
 		fmt.Println()
-		rec.RenderMatrix(os.Stdout)
-		rec.Summary(os.Stdout)
+		traffic.WriteMatrix(os.Stdout)
+		traffic.WriteSummary(os.Stdout)
 	}
 	if *profile {
 		fmt.Println()
-		w.WriteProfile(os.Stdout)
+		calls.Write(os.Stdout)
 	}
 	if *metrics {
 		fmt.Println()
@@ -135,7 +134,7 @@ func main() {
 	}
 	if *phases {
 		fmt.Println()
-		w.WritePhases(os.Stdout)
+		phaseTab.Write(os.Stdout)
 	}
 	if flight != nil {
 		f, err := os.Create(*traceTo)

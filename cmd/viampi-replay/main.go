@@ -114,6 +114,8 @@ func main() {
 	bus := obs.NewBus()
 	var flight *obs.Recorder
 	var reg *obs.Registry
+	phaseTab := obs.NewPhaseTable()
+	phaseTab.Attach(bus)
 	if *traceTo != "" {
 		flight = obs.NewRecorder()
 		flight.Attach(bus)
@@ -138,7 +140,7 @@ func main() {
 		toFile(*jsonTo, func(f *os.File) error { reg.WriteJSON(f); return nil })
 	}
 	if *phases {
-		obs.WritePhaseTable(os.Stdout, b.PhaseRows())
+		phaseTab.Write(os.Stdout)
 	}
 }
 

@@ -171,13 +171,8 @@ func buildInterproc(m *Module) *Interproc {
 			}
 		}
 	}
-	for callee, set := range callerSets {
-		var list []string
-		for k := range set {
-			list = append(list, k)
-		}
-		sort.Strings(list)
-		ip.callers[callee] = list
+	for _, callee := range sortedKeys(callerSets) {
+		ip.callers[callee] = sortedKeys(callerSets[callee])
 	}
 	return ip
 }

@@ -5,9 +5,9 @@ package analysis
 // this harness observes the property itself, end to end. A representative
 // matrix — every connection manager, an application kernel, two job sizes —
 // runs twice with identical Configs, and the two runs must produce
-// byte-identical trace digests: same messages, same sources, same
-// destinations, same sizes, same virtual-time stamps, same per-rank
-// resource statistics.
+// byte-identical digests of their full event streams: same messages, same
+// sources, same destinations, same sizes, same connection lifecycle, same
+// virtual-time stamps, same per-rank resource statistics.
 
 import (
 	"bytes"
@@ -25,7 +25,6 @@ import (
 	"viampi/internal/obs/capture"
 	"viampi/internal/simnet"
 	"viampi/internal/sweep"
-	"viampi/internal/trace"
 	"viampi/internal/via"
 )
 
@@ -84,9 +83,10 @@ func reportDivergence(t *testing.T, first, second []byte) {
 }
 
 // runDigestErr executes one replay of the CG communication pattern under
-// cfg and folds everything observable about the run — the full timestamped
-// event log plus per-rank statistics — into one hash. The returned bundle
-// is the run's full capture, fed to reportDivergence when digests differ.
+// cfg and folds everything observable about the run — every event of its
+// capture bundle, decoded, plus per-rank statistics — into one hash. The
+// returned bundle is that capture, fed to reportDivergence when digests
+// differ.
 // It returns errors instead of taking a testing.T so dual runs can execute
 // on concurrent sweep workers.
 func runDigestErr(cfg mpi.Config, rounds, msgBytes int) (string, []byte, error) {
@@ -96,8 +96,6 @@ func runDigestErr(cfg mpi.Config, rounds, msgBytes int) (string, []byte, error) 
 	if err != nil {
 		return "", nil, err
 	}
-	rec := trace.New(cfg.Procs, true)
-	rec.Attach(cfg.Obs)
 	w, err := apps.Replay(apps.CG(), cfg, rounds, msgBytes)
 	if err != nil {
 		return "", nil, fmt.Errorf("replay (%s, %d procs): %w", cfg.Policy, cfg.Procs, err)
@@ -121,11 +119,17 @@ func runDigestErr(cfg mpi.Config, rounds, msgBytes int) (string, []byte, error) 
 			rs.PinnedPeak, rs.MsgsSent, rs.BytesSent, rs.WaitWakeups,
 			int64(rs.ComputeTime))
 	}
-	for _, ev := range rec.Events() {
-		put(ev.TimeNs, int64(ev.Src), int64(ev.Dst), int64(ev.Bytes), int64(ev.Tag))
+	b, err := capture.ReadBundle(bytes.NewReader(bundle.Bytes()))
+	if err != nil {
+		return "", nil, fmt.Errorf("decoding capture bundle: %w", err)
 	}
-	if len(rec.Events()) == 0 {
-		return "", nil, fmt.Errorf("replay (%s, %d procs) recorded no trace events; the digest would be vacuous", cfg.Policy, cfg.Procs)
+	if len(b.Events) == 0 {
+		return "", nil, fmt.Errorf("replay (%s, %d procs) recorded no events; the digest would be vacuous", cfg.Policy, cfg.Procs)
+	}
+	for _, ev := range b.Events {
+		put(ev.T, int64(ev.Kind), int64(ev.Rank), int64(ev.Peer), ev.A, ev.B, ev.C)
+		h.Write([]byte(ev.Name))
+		h.Write([]byte{0})
 	}
 	return hex.EncodeToString(h.Sum(nil)), bundle.Bytes(), nil
 }

@@ -194,14 +194,16 @@ func CheckConnectionModel(adoption bool) []string {
 	// canReachGoal over the fault-off graph, by reverse saturation: seed
 	// with goal states, repeatedly add any fault-off state with a successor
 	// already in the set.
-	var offStates []connState
+	off := map[connState]bool{}
 	for st := range reach {
 		st.fault = false
-		if !containsState(offStates, st) {
-			offStates = append(offStates, st)
-		}
+		off[st] = true
 	}
-	sortStates(offStates)
+	offStates := make([]connState, 0, len(off))
+	for st := range off {
+		offStates = append(offStates, st)
+	}
+	sort.Slice(offStates, func(a, b int) bool { return offStates[a].String() < offStates[b].String() })
 	canReach := map[connState]bool{}
 	for _, st := range offStates {
 		if st.goal() {
@@ -268,19 +270,6 @@ func CheckConnectionModel(adoption bool) []string {
 		fails = append(fails, "livelock: non-goal cycle with faults off, through: "+cycleAt.String())
 	}
 	return fails
-}
-
-func containsState(list []connState, st connState) bool {
-	for _, s := range list {
-		if s == st {
-			return true
-		}
-	}
-	return false
-}
-
-func sortStates(list []connState) {
-	sort.Slice(list, func(a, b int) bool { return list[a].String() < list[b].String() })
 }
 
 // ---------------------------------------------------------------------------

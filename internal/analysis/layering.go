@@ -18,9 +18,9 @@ func LayeringAnalyzer() *Analyzer {
 		Explain: `docs/ARCHITECTURE.md, "Layering contract": examples/cmd call the
 workloads (bench, npb, apps), which sit on mpi, which plugs in core, which
 drives via, which emits frames into fabric, which schedules on simnet. Each
-package only imports downward. internal/obs and internal/trace are passive
+package only imports downward. internal/obs and its capture codec are passive
 observers any layer may feed, but they import nothing from the module except
-each other (trace subscribes to the obs bus); internal/tcpvia is
+each other (every run report is a subscriber on the obs bus); internal/tcpvia is
 the real-socket twin of internal/via and is reachable only from drivers.
 An upward (or sideways) import collapses the layering that makes the
 simulation analyzable — e.g. via reaching into mpi would let device models

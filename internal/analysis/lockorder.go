@@ -302,7 +302,7 @@ func resolveSiteCallees(ip *Interproc, key string, call *ast.CallExpr) []string 
 // witness.
 func reportLockCycles(m *Module, p *Policy, edges map[string]*loEdge) []Diagnostic {
 	succ := map[string][]string{}
-	for _, id := range sortedEdgeIDs(edges) {
+	for _, id := range sortedKeys(edges) {
 		e := edges[id]
 		if _, allowed := p.LockOrderAllow[id]; allowed {
 			continue
@@ -390,24 +390,6 @@ func cycleSignature(cycle []string) string {
 		parts = append(parts, cycle[(best+i)%len(cycle)])
 	}
 	return strings.Join(parts, "->")
-}
-
-func sortedKeys(set map[string]bool) []string {
-	var keys []string
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedEdgeIDs(edges map[string]*loEdge) []string {
-	var ids []string
-	for id := range edges {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // shortFile renders a node's filename relative to the module root for

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // PairedAnalyzer is the interprocedural must-release rule: every call to an
@@ -99,7 +98,7 @@ func runPaired(m *Module, p *Policy) []Diagnostic {
 		ip.Sweeps++
 		res = prAnalyzeModule(m, ip, p, acquires, releases, primary)
 		grew := false
-		for _, key := range sortedIntKeys(res.retOwned) {
+		for _, key := range sortedKeys(res.retOwned) {
 			if _, known := acquires[key]; !known && !primary[key] {
 				acquires[key] = res.retOwned[key]
 				grew = true
@@ -887,13 +886,4 @@ func prJoin(names []string) string {
 		out += n
 	}
 	return out
-}
-
-func sortedIntKeys(mp map[string]int) []string {
-	var keys []string
-	for k := range mp {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -18,7 +18,7 @@ type Policy struct {
 	TopLayer int
 	// SharedLeaves are importable from every layer but may themselves
 	// import only the standard library and other shared leaves
-	// (internal/obs; internal/trace, which consumes obs events).
+	// (internal/obs and its capture codec; internal/sweep).
 	SharedLeaves map[string]bool
 	// RestrictedLeaves are importable only from the top layer and may
 	// import no module package (internal/tcpvia: the real-socket twin;
@@ -184,13 +184,12 @@ func DefaultPolicy() *Policy {
 		TopLayer: 9,
 		SharedLeaves: map[string]bool{
 			// Passive observers: every simulation layer may stamp events on
-			// the obs bus or feed the trace recorder, and neither may reach
-			// back into the simulation (obs imports nothing; trace imports
-			// obs to subscribe). Keeping them leaves guarantees
+			// the obs bus, and no subscriber may reach back into the
+			// simulation (obs imports nothing; capture imports obs to
+			// encode its stream). Keeping them leaves guarantees
 			// instrumentation can never alter what it observes.
 			"internal/obs":         true,
 			"internal/obs/capture": true,
-			"internal/trace":       true,
 			// The batch runner: every layer may fan hermetic jobs over it
 			// (bench grids, the fault matrix, cmd drivers), and it imports
 			// only the standard library, so the edge can never reach back
@@ -203,12 +202,11 @@ func DefaultPolicy() *Policy {
 		},
 
 		DeterminismExempt: map[string]string{
-			"internal/tcpvia":   "real-socket twin of internal/via; wall-clock deadlines and goroutines are its job",
-			"examples/tcpring":  "drives internal/tcpvia over real TCP; measures wall time by design",
-			"internal/analysis": "static-analysis tooling; never on a simulation path",
-			"cmd/benchsnap":     "wall-clock rail for BENCH_simcore.json; the virtual-time snapshot it also emits is pinned byte-stable by make check",
-			"cmd/viampi-vet":    "analysis driver; the -json timing line measures host load/analyze wall time and goes to stderr, never near a simulation path",
-			"internal/sweep":    "the one sanctioned home for naked goroutines, sync primitives, and wall-clock reads outside simulated time: jobs are hermetic whole simulations, and the index-ordered merge erases completion order, so host scheduling never reaches an artifact",
+			"internal/tcpvia":  "real-socket twin of internal/via; wall-clock deadlines and goroutines are its job",
+			"examples/tcpring": "drives internal/tcpvia over real TCP; measures wall time by design",
+			"cmd/benchsnap":    "wall-clock rail for BENCH_simcore.json; the virtual-time snapshot it also emits is pinned byte-stable by make check",
+			"cmd/viampi-vet":   "analysis driver; the -json timing line measures host load/analyze wall time and goes to stderr, never near a simulation path",
+			"internal/sweep":   "the one sanctioned home for naked goroutines, sync primitives, and wall-clock reads outside simulated time: jobs are hermetic whole simulations, and the index-ordered merge erases completion order, so host scheduling never reaches an artifact",
 		},
 		GoStmtAllowed: map[string]bool{
 			"internal/simnet": true,

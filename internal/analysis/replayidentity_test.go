@@ -1,14 +1,15 @@
 package analysis
 
 // The capture pipeline's contract, observed end to end: every artifact a
-// live run renders (Perfetto trace, metrics in all three formats, the phase
-// table) must be byte-identical when re-rendered offline from the run's
-// capture bundle. This is what makes a bundle a faithful flight record —
+// live run renders (Perfetto trace, metrics in all three formats, the
+// traffic matrix, the call profile, the phase table) must be byte-identical
+// when re-rendered offline from the run's capture bundle. This is what makes a bundle a faithful flight record —
 // ship the .bin, regenerate everything else.
 
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"viampi/internal/apps"
@@ -20,20 +21,45 @@ import (
 
 // artifacts are the rendered outputs under comparison.
 type artifacts struct {
-	perfetto, metricsText, metricsCSV, metricsJSON, phaseTable string
+	perfetto, metricsText, metricsCSV, metricsJSON string
+	matrix, profile, phaseTable                    string
 }
 
-func renderFrom(t *testing.T, rec *obs.Recorder, reg *obs.Registry, rows []obs.PhaseRow) artifacts {
+// consumers is the full subscriber stack a run report is rendered from,
+// attached identically to the live bus and to a replayed one.
+type consumers struct {
+	rec     *obs.Recorder
+	reg     *obs.Registry
+	traffic *obs.Traffic
+	calls   *obs.CallProfile
+	phases  *obs.PhaseTable
+}
+
+func attachConsumers(bus *obs.Bus) consumers {
+	c := consumers{rec: obs.NewRecorder(), reg: obs.NewRegistry(),
+		traffic: obs.NewTraffic(), calls: obs.NewCallProfile(), phases: obs.NewPhaseTable()}
+	c.rec.Attach(bus)
+	obs.NewCollector(c.reg).Attach(bus)
+	c.traffic.Attach(bus)
+	c.calls.Attach(bus)
+	c.phases.Attach(bus)
+	return c
+}
+
+func (c consumers) render(t *testing.T) artifacts {
 	t.Helper()
-	var tr, mt, mc, mj, ph bytes.Buffer
-	if err := rec.WritePerfetto(&tr); err != nil {
+	var tr, mt, mc, mj, mx, pr, ph bytes.Buffer
+	if err := c.rec.WritePerfetto(&tr); err != nil {
 		t.Fatalf("perfetto: %v", err)
 	}
-	reg.WriteText(&mt)
-	reg.WriteCSV(&mc)
-	reg.WriteJSON(&mj)
-	obs.WritePhaseTable(&ph, rows)
-	return artifacts{tr.String(), mt.String(), mc.String(), mj.String(), ph.String()}
+	c.reg.WriteText(&mt)
+	c.reg.WriteCSV(&mc)
+	c.reg.WriteJSON(&mj)
+	c.traffic.WriteMatrix(&mx)
+	c.traffic.WriteSummary(&mx)
+	c.calls.Write(&pr)
+	c.phases.Write(&ph)
+	return artifacts{tr.String(), mt.String(), mc.String(), mj.String(), mx.String(), pr.String(), ph.String()}
 }
 
 // liveRun executes the CG replay with the full consumer stack plus a capture
@@ -41,36 +67,25 @@ func renderFrom(t *testing.T, rec *obs.Recorder, reg *obs.Registry, rows []obs.P
 func liveRun(t *testing.T, cfg mpi.Config, rounds, msgBytes int) (artifacts, []byte) {
 	t.Helper()
 	bus := obs.NewBus()
-	rec := obs.NewRecorder()
-	rec.Attach(bus)
-	reg := obs.NewRegistry()
-	obs.NewCollector(reg).Attach(bus)
+	live := attachConsumers(bus)
 	cfg.Obs = bus
 	cfg.Deadline = 30 * simnet.Second
 	cw, bundle, err := attachCapture(&cfg, rounds, msgBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := apps.Replay(apps.CG(), cfg, rounds, msgBytes)
-	if err != nil {
+	if _, err := apps.Replay(apps.CG(), cfg, rounds, msgBytes); err != nil {
 		t.Fatalf("replay (%s, %d procs): %v", cfg.Policy, cfg.Procs, err)
 	}
 	if err := cw.Close(); err != nil {
 		t.Fatalf("sealing bundle: %v", err)
 	}
-
-	// Live phase rows come from the World, exactly as mpi.World.WritePhases
-	// builds them.
-	var rows []obs.PhaseRow
-	for _, rs := range w.Ranks {
-		if rs.Phases != nil {
-			rows = append(rows, obs.PhaseRow{Rank: rs.Rank, Elapsed: int64(w.Elapsed), P: rs.Phases})
+	for rank := 0; rank < cfg.Procs; rank++ {
+		if live.phases.Rank(rank) == nil {
+			t.Fatalf("rank %d reported no phases", rank)
 		}
 	}
-	if len(rows) != cfg.Procs {
-		t.Fatalf("%d phase rows for %d ranks", len(rows), cfg.Procs)
-	}
-	return renderFrom(t, rec, reg, rows), bundle.Bytes()
+	return live.render(t), bundle.Bytes()
 }
 
 // replayBundle decodes the bundle and re-renders every artifact through
@@ -82,12 +97,9 @@ func replayBundle(t *testing.T, raw []byte) artifacts {
 		t.Fatalf("decoding bundle: %v", err)
 	}
 	bus := obs.NewBus()
-	rec := obs.NewRecorder()
-	rec.Attach(bus)
-	reg := obs.NewRegistry()
-	obs.NewCollector(reg).Attach(bus)
+	replayed := attachConsumers(bus)
 	b.EmitAll(bus)
-	return renderFrom(t, rec, reg, b.PhaseRows())
+	return replayed.render(t)
 }
 
 func compareArtifacts(t *testing.T, live, replayed artifacts) {
@@ -110,6 +122,8 @@ func compareArtifacts(t *testing.T, live, replayed artifacts) {
 	check("metrics text", live.metricsText, replayed.metricsText)
 	check("metrics CSV", live.metricsCSV, replayed.metricsCSV)
 	check("metrics JSON", live.metricsJSON, replayed.metricsJSON)
+	check("traffic matrix", live.matrix, replayed.matrix)
+	check("call profile", live.profile, replayed.profile)
 	check("phase table", live.phaseTable, replayed.phaseTable)
 }
 
@@ -124,8 +138,9 @@ func TestReplayReproducesLiveArtifacts(t *testing.T) {
 				live, bundle := liveRun(t, cfg, rounds, msgBytes)
 				replayed := replayBundle(t, bundle)
 				compareArtifacts(t, live, replayed)
-				if live.perfetto == "" || live.metricsJSON == "" || live.phaseTable == "" {
-					t.Fatal("live artifacts empty; the identity check would be vacuous")
+				if live.perfetto == "" || live.metricsJSON == "" || strings.Contains(live.matrix, "messages: 0,") ||
+					!strings.HasPrefix(live.profile, "call ") || !strings.HasPrefix(live.phaseTable, "rank ") {
+					t.Fatalf("live artifacts empty; the identity check would be vacuous:\n%s%s%s", live.matrix, live.profile, live.phaseTable)
 				}
 			})
 		}

@@ -72,8 +72,10 @@ func TestAllowlistsLoadBearing(t *testing.T) {
 		{"ChargeFlowExempt", "chargeflow", func(p *Policy) map[string]string { return p.ChargeFlowExempt }},
 		{"WakeReachAllow", "wakereach", func(p *Policy) map[string]string { return p.WakeReachAllow }},
 		{"LockOrderAllow", "lockorder", func(p *Policy) map[string]string { return p.LockOrderAllow }},
+		{"PairedAllow", "paired", func(p *Policy) map[string]string { return p.PairedAllow }},
+		{"DeterminismExempt", "determinism", func(p *Policy) map[string]string { return p.DeterminismExempt }},
 	} {
-		for _, key := range sortedStrKeys(tc.entries(DefaultPolicy())) {
+		for _, key := range sortedKeys(tc.entries(DefaultPolicy())) {
 			p := DefaultPolicy()
 			delete(tc.entries(p), key)
 			if ds := ByName(tc.rule).Run(m, p); len(ds) == 0 {
@@ -100,7 +102,7 @@ func TestLeafLocksLoadBearing(t *testing.T) {
 		return p
 	}
 	with := len(lockorder.Run(m, strict()))
-	for _, field := range sortedStrKeys(DefaultPolicy().LeafLocks) {
+	for _, field := range sortedKeys(DefaultPolicy().LeafLocks) {
 		p := strict()
 		delete(p.LeafLocks, field)
 		if without := len(lockorder.Run(m, p)); without >= with {
@@ -149,7 +151,7 @@ func TestSelfCheckSeesTheWholeModule(t *testing.T) {
 	for _, rel := range []string{
 		"internal/simnet", "internal/fabric", "internal/via", "internal/core",
 		"internal/mpi", "internal/apps", "internal/npb", "internal/bench",
-		"internal/trace", "internal/obs", "internal/tcpvia", "internal/analysis",
+		"internal/obs", "internal/obs/capture", "internal/tcpvia", "internal/analysis",
 	} {
 		pkg := m.Lookup(m.Path + "/" + rel)
 		if pkg == nil {
@@ -163,20 +165,21 @@ func TestSelfCheckSeesTheWholeModule(t *testing.T) {
 		}
 	}
 	// The maporder rule is only as good as its reach: the repository has
-	// map iterations (e.g. internal/mpi's profile aggregation) and the
-	// analyzer must be classifying them, not skipping them.
-	mpiPkg := m.Lookup(m.Path + "/internal/mpi")
+	// map iterations (e.g. the sorted-key walks of internal/obs's report
+	// subscribers) and the analyzer must be classifying them, not skipping
+	// them.
+	obsPkg := m.Lookup(m.Path + "/internal/obs")
 	count := 0
-	for _, f := range mpiPkg.Files {
+	for _, f := range obsPkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			if rs, ok := n.(*ast.RangeStmt); ok && isMapRange(mpiPkg.Info, rs) {
+			if rs, ok := n.(*ast.RangeStmt); ok && isMapRange(obsPkg.Info, rs) {
 				count++
 			}
 			return true
 		})
 	}
 	if count == 0 {
-		t.Error("no map ranges found in internal/mpi; the maporder analyzer is not seeing the code it must audit")
+		t.Error("no map ranges found in internal/obs; the maporder analyzer is not seeing the code it must audit")
 	}
 }
 

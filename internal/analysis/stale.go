@@ -39,58 +39,58 @@ func StalePolicy(m *Module, p *Policy) []string {
 			}
 		}
 	}
-	checkFuncs("MapOrderAllow", sortedStrKeys(p.MapOrderAllow))
-	checkFuncs("ChargeRequired", sortedBoolKeys(p.ChargeRequired))
-	checkFuncs("ChargeFuncs", sortedBoolKeys(p.ChargeFuncs))
-	checkFuncs("ChargeFlowExempt", sortedStrKeys(p.ChargeFlowExempt))
-	checkFuncs("ExhaustiveStrict", sortedStrKeys(p.ExhaustiveStrict))
-	checkFuncs("WaitWakeWakers", sortedBoolKeys(p.WaitWakeWakers))
-	checkFuncs("WakeReachAllow", sortedStrKeys(p.WakeReachAllow))
-	checkFuncs("HotPaths", sortedStrKeys(p.HotPaths))
-	checkFuncs("ColdCalls", sortedBoolKeys(p.ColdCalls))
-	checkFuncs("ProtocolDispatch", sortedStrKeys(p.ProtocolDispatch))
+	checkFuncs("MapOrderAllow", sortedKeys(p.MapOrderAllow))
+	checkFuncs("ChargeRequired", sortedKeys(p.ChargeRequired))
+	checkFuncs("ChargeFuncs", sortedKeys(p.ChargeFuncs))
+	checkFuncs("ChargeFlowExempt", sortedKeys(p.ChargeFlowExempt))
+	checkFuncs("ExhaustiveStrict", sortedKeys(p.ExhaustiveStrict))
+	checkFuncs("WaitWakeWakers", sortedKeys(p.WaitWakeWakers))
+	checkFuncs("WakeReachAllow", sortedKeys(p.WakeReachAllow))
+	checkFuncs("HotPaths", sortedKeys(p.HotPaths))
+	checkFuncs("ColdCalls", sortedKeys(p.ColdCalls))
+	checkFuncs("ProtocolDispatch", sortedKeys(p.ProtocolDispatch))
 	for _, spec := range p.PairedSpecs {
 		checkFuncs("PairedSpecs."+spec.Resource, spec.Acquires)
 		checkFuncs("PairedSpecs."+spec.Resource, spec.Releases)
 	}
-	checkFuncs("PairedAllow", sortedStrKeys(p.PairedAllow))
-	checkFuncs("SeqCheckClose", sortedStrKeys(p.SeqCheckClose))
-	checkFuncs("SeqCheckSend", sortedStrKeys(p.SeqCheckSend))
-	checkFuncs("SeqCheckAllow", sortedStrKeys(p.SeqCheckAllow))
+	checkFuncs("PairedAllow", sortedKeys(p.PairedAllow))
+	checkFuncs("SeqCheckClose", sortedKeys(p.SeqCheckClose))
+	checkFuncs("SeqCheckSend", sortedKeys(p.SeqCheckSend))
+	checkFuncs("SeqCheckAllow", sortedKeys(p.SeqCheckAllow))
 
-	for _, rel := range sortedStrKeys(p.DeterminismExempt) {
+	for _, rel := range sortedKeys(p.DeterminismExempt) {
 		if !pkgExists(rel) {
 			report("DeterminismExempt", rel, "package")
 		}
 	}
-	for _, rel := range sortedStrKeys(p.MapOrderStrict) {
+	for _, rel := range sortedKeys(p.MapOrderStrict) {
 		if !pkgExists(rel) {
 			report("MapOrderStrict", rel, "package")
 		}
 	}
-	for _, rel := range sortedBoolKeys(p.WaitWakeScope) {
+	for _, rel := range sortedKeys(p.WaitWakeScope) {
 		if !pkgExists(rel) {
 			report("WaitWakeScope", rel, "package")
 		}
 	}
-	for _, rel := range sortedBoolKeys(p.ChargeRootPkgs) {
+	for _, rel := range sortedKeys(p.ChargeRootPkgs) {
 		if !pkgExists(rel) {
 			report("ChargeRootPkgs", rel, "package")
 		}
 	}
 
-	for _, key := range sortedStrKeys(p.EnumExclude) {
+	for _, key := range sortedKeys(p.EnumExclude) {
 		if !constExists(m, key) {
 			report("EnumExclude", key, "constant")
 		}
 	}
-	for _, key := range sortedStrKeys(p.ProtocolNeverSent) {
+	for _, key := range sortedKeys(p.ProtocolNeverSent) {
 		if !constExists(m, key) {
 			report("ProtocolNeverSent", key, "constant")
 		}
 	}
 
-	for _, key := range sortedStrKeys(p.TagFields) {
+	for _, key := range sortedKeys(p.TagFields) {
 		if !fieldExists(m, key) {
 			report("TagFields", key, "struct field")
 		}
@@ -98,7 +98,7 @@ func StalePolicy(m *Module, p *Policy) []string {
 			report("TagFields", anchor, "anchor constant")
 		}
 	}
-	for _, key := range sortedStrKeys(p.LeafLocks) {
+	for _, key := range sortedKeys(p.LeafLocks) {
 		if !fieldExists(m, key) {
 			report("LeafLocks", key, "struct field")
 		}
@@ -113,7 +113,7 @@ func StalePolicy(m *Module, p *Policy) []string {
 			report("WaitWakeStates", key, "type")
 		}
 	}
-	for _, key := range sortedStrKeys(p.FSMStates) {
+	for _, key := range sortedKeys(p.FSMStates) {
 		if !typeExists(m, key) {
 			report("FSMStates", key, "type")
 		}
@@ -121,7 +121,7 @@ func StalePolicy(m *Module, p *Policy) []string {
 			report("FSMStates", field, "struct field")
 		}
 	}
-	for _, edge := range sortedStrKeys(p.LockOrderAllow) {
+	for _, edge := range sortedKeys(p.LockOrderAllow) {
 		from, to, ok := strings.Cut(edge, " -> ")
 		if !ok || !fieldExists(m, from) || !fieldExists(m, to) {
 			report("LockOrderAllow", edge, "pair of mutex fields")
@@ -196,16 +196,9 @@ func lookupRel(m *Module, rel string) *Package {
 	return m.Lookup(m.Path + "/" + rel)
 }
 
-func sortedStrKeys(set map[string]string) []string {
-	var keys []string
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedBoolKeys(set map[string]bool) []string {
+// sortedKeys returns a string-keyed map's keys in ascending order (the
+// collect-then-sort idiom the maporder rule recognizes).
+func sortedKeys[V any](set map[string]V) []string {
 	var keys []string
 	for k := range set {
 		keys = append(keys, k)

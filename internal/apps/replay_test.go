@@ -6,27 +6,36 @@ import (
 	"viampi/internal/mpi"
 	"viampi/internal/obs"
 	"viampi/internal/simnet"
-	"viampi/internal/trace"
 )
 
 func replayCfg(procs int) mpi.Config {
 	return mpi.Config{Procs: procs, Policy: "ondemand", Deadline: 300 * simnet.Second}
 }
 
-// TestReplayTracesMatchAnalytic: replaying a pattern and tracing it must
-// measure exactly the analytic Table 1 destination averages.
+// TestReplayTracesMatchAnalytic: replaying a pattern must measure exactly
+// the analytic Table 1 destination averages, both in the traffic matrix
+// folded from the bus and in the per-rank RankStats.DistinctDests.
 func TestReplayTracesMatchAnalytic(t *testing.T) {
 	const n = 16
 	for _, p := range All() {
-		rec := trace.New(n, false)
+		traffic := obs.NewTraffic()
 		cfg := replayCfg(n)
 		cfg.Obs = obs.NewBus()
-		rec.Attach(cfg.Obs)
-		if _, err := Replay(p, cfg, 2, 64); err != nil {
+		traffic.Attach(cfg.Obs)
+		w, err := Replay(p, cfg, 2, 64)
+		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		if got, want := rec.AvgDests(), AvgDests(p, n); got != want {
+		want := AvgDests(p, n)
+		if got := traffic.AvgDests(); got != want {
 			t.Errorf("%s: traced avg dests %.3f != analytic %.3f", p.Name, got, want)
+		}
+		sum := 0
+		for _, rs := range w.Ranks {
+			sum += rs.DistinctDests
+		}
+		if got := float64(sum) / n; got != want {
+			t.Errorf("%s: mean RankStats.DistinctDests %.3f != analytic %.3f", p.Name, got, want)
 		}
 	}
 }

@@ -68,6 +68,46 @@ func TestEvictionFIFOOrder(t *testing.T) {
 	}
 }
 
+// TestEvictionDistinctDests runs the phased shift pattern under a VI cap of
+// 2, so each rank's channel to an earlier partner is evicted before the run
+// ends. RankStats.DistinctDests must still count every peer the rank
+// addressed — evicted channels included — and agree with the traffic matrix
+// folded from the bus.
+func TestEvictionDistinctDests(t *testing.T) {
+	const n = 6
+	bus := obs.NewBus()
+	traffic := obs.NewTraffic()
+	traffic.Attach(bus)
+	reg := obs.NewRegistry()
+	obs.NewCollector(reg).Attach(bus)
+	cfg := Config{Procs: n, Policy: "ondemand", MaxVIs: 2,
+		Deadline: 120 * simnet.Second, Seed: 7, Obs: bus}
+	w, err := Run(cfg, func(r *Rank) {
+		c := r.World()
+		me := r.Rank()
+		buf := make([]byte, 8)
+		for ph := 1; ph < n; ph++ {
+			if _, err := c.Sendrecv((me+ph)%n, ph, []byte("distinct"), (me-ph+n)%n, ph, buf); err != nil {
+				r.Abort(1, err.Error())
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reg.Counter("conn.evictions") == 0 {
+		t.Fatal("no evictions recorded: the cap never engaged, so the check is vacuous")
+	}
+	for _, rs := range w.Ranks {
+		if rs.DistinctDests != n-1 {
+			t.Errorf("rank %d: DistinctDests = %d, want %d (evicted peers forgotten)", rs.Rank, rs.DistinctDests, n-1)
+		}
+		if traced := len(traffic.Dests(rs.Rank)); rs.DistinctDests != traced {
+			t.Errorf("rank %d: DistinctDests = %d, traffic matrix counts %d", rs.Rank, rs.DistinctDests, traced)
+		}
+	}
+}
+
 // TestEvictionRandomProgramEquivalence requires the random program suite to
 // produce bit-identical per-rank checksums with and without a VI cap: the
 // eviction/reconnect machinery must be invisible to MPI semantics.

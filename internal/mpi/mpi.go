@@ -19,7 +19,7 @@ package mpi
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
+	"slices"
 
 	"viampi/internal/core"
 	"viampi/internal/fabric"
@@ -104,14 +104,13 @@ type Config struct {
 
 	// Obs, when set, is the observability event bus: every layer (simnet,
 	// fabric, via, core, mpi) stamps structured events onto it in virtual
-	// time. Attach an obs.Recorder for Perfetto export, an obs.Collector
-	// for metrics, or a trace.Recorder for communication matrices before
-	// calling Run. Nil disables all instrumentation at zero per-event cost.
+	// time, and every run report is a subscriber on it. Attach an
+	// obs.Recorder for Perfetto export, an obs.Collector for metrics, an
+	// obs.Traffic for the communication matrix, an obs.CallProfile for
+	// per-call time accounting or an obs.PhaseTable for the phase
+	// decomposition before calling Run. Nil disables all instrumentation at
+	// zero per-event cost.
 	Obs *obs.Bus
-
-	// Profile enables per-call time accounting (PMPI-style); results are
-	// returned in RankStats.Profile and rendered by World.WriteProfile.
-	Profile bool
 
 	// BarrierAlg selects the barrier algorithm: "rd" (default, recursive
 	// doubling), "dissemination", or "tree" (binomial combine+broadcast).
@@ -217,8 +216,6 @@ type RankStats struct {
 	BytesSent     int64
 	WaitWakeups   int64
 	ComputeTime   simnet.Duration
-	Profile       map[string]*CallStat // nil unless Config.Profile
-	Phases        *obs.Phases          // nil unless observability is on
 }
 
 // World is the result of a run.
@@ -276,24 +273,6 @@ func (w *World) TotalPinnedPeak() int64 {
 		t += rs.PinnedPeak
 	}
 	return t
-}
-
-// WritePhases renders the per-rank phase decomposition — where each rank's
-// virtual time went (compute, eager, rendezvous, connect, credit stalls,
-// progress polling). Empty unless observability was enabled for the run.
-func (w *World) WritePhases(out io.Writer) {
-	rows := make([]obs.PhaseRow, 0, len(w.Ranks))
-	for _, rs := range w.Ranks {
-		if rs.Phases == nil {
-			continue
-		}
-		rows = append(rows, obs.PhaseRow{Rank: rs.Rank, Elapsed: int64(w.Elapsed), P: rs.Phases})
-	}
-	if len(rows) == 0 {
-		fmt.Fprintln(out, "phases: empty (run with Config.Obs set)")
-		return
-	}
-	obs.WritePhaseTable(out, rows)
 }
 
 // Run executes main on cfg.Procs simulated ranks and returns the collected
@@ -377,12 +356,7 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 				r.phases = &obs.Phases{}
 				r.sendSeq = make(map[int]int64)
 				r.recvSeq = make(map[int]int64)
-			}
-			if cfg.Profile || r.bus != nil {
 				r.prof = &profiler{proc: p, rank: int32(i), bus: r.bus}
-				if cfg.Profile {
-					r.prof.stats = map[string]*CallStat{}
-				}
 			}
 
 			r.bootstrap(addrs)
@@ -421,9 +395,9 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 			r.finalize()
 
 			st := port.Stats()
-			dests := 0
+			dests := len(r.pastDests)
 			for _, cs := range r.active {
-				if cs.userSends > 0 {
+				if _, past := slices.BinarySearch(r.pastDests, cs.peer); cs.userSends > 0 && !past {
 					dests++
 				}
 			}
@@ -449,10 +423,6 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 				WaitWakeups:   st.WaitWakeups,
 				ComputeTime:   p.BusyTime(),
 			}
-			if r.prof != nil {
-				world.Ranks[i].Profile = r.prof.stats
-			}
-			world.Ranks[i].Phases = r.phases
 			if r.bus != nil {
 				// Run-epilogue phase records: one event per phase with the
 				// rank's charged nanoseconds, so a capture bundle carries

@@ -134,13 +134,13 @@ func TestPerfettoStaticHasNoLateConnects(t *testing.T) {
 	}
 }
 
-// TestWriteProfileSpreadColumns pins the per-rank spread columns: a
-// point-to-point call issued by one of two ranks must show imbalance 2.00
-// and a zero rank-min, while the header names every column.
+// TestWriteProfileSpreadColumns pins the per-rank spread columns of the call
+// profile: a point-to-point call issued by one of two ranks must show
+// imbalance 2.00 and a zero rank-min, while the header names every column.
 func TestWriteProfileSpreadColumns(t *testing.T) {
 	cfg := testCfg(2)
-	cfg.Profile = true
-	w := runWorld(t, cfg, func(r *Rank) {
+	calls, _ := withReports(&cfg)
+	runWorld(t, cfg, func(r *Rank) {
 		c := r.World()
 		if r.Rank() == 0 {
 			if err := c.Send(1, 0, make([]byte, 32)); err != nil {
@@ -153,7 +153,7 @@ func TestWriteProfileSpreadColumns(t *testing.T) {
 		}
 	})
 	var buf bytes.Buffer
-	w.WriteProfile(&buf)
+	calls.Write(&buf)
 	out := buf.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	header := lines[0]
@@ -187,9 +187,8 @@ func TestWriteProfileSpreadColumns(t *testing.T) {
 func TestWritePhasesTable(t *testing.T) {
 	cfg := testCfg(2)
 	cfg.Policy = "ondemand"
-	bus := obs.NewBus()
-	cfg.Obs = bus
-	w := runWorld(t, cfg, func(r *Rank) {
+	_, phases := withReports(&cfg)
+	runWorld(t, cfg, func(r *Rank) {
 		c := r.World()
 		if r.Rank() == 0 {
 			if err := c.Send(1, 0, make([]byte, 32)); err != nil {
@@ -202,7 +201,7 @@ func TestWritePhasesTable(t *testing.T) {
 		}
 	})
 	var buf bytes.Buffer
-	w.WritePhases(&buf)
+	phases.Write(&buf)
 	out := buf.String()
 	if !strings.Contains(out, "connect") || !strings.Contains(out, "rank") {
 		t.Fatalf("phase table header:\n%s", out)
@@ -216,13 +215,22 @@ func TestWritePhasesTable(t *testing.T) {
 	if rows < 2 {
 		t.Fatalf("expected a row per rank:\n%s", out)
 	}
+	if p := phases.Rank(0); p == nil || p.Ns[obs.PhaseConnect] <= 0 {
+		t.Fatalf("rank 0 charged no connect time under on-demand: %+v", p)
+	}
 }
 
-// TestWritePhasesEmptyWithoutBus pins the disabled-path rendering.
+// TestWritePhasesEmptyWithoutBus pins the disabled path: without a bus a
+// rank keeps no phase accounting, and a table that saw no phase records
+// renders the empty marker.
 func TestWritePhasesEmptyWithoutBus(t *testing.T) {
-	w := runWorld(t, testCfg(2), func(r *Rank) {})
+	runWorld(t, testCfg(2), func(r *Rank) {
+		if r.phases != nil {
+			t.Error("phase accounting allocated without an observability bus")
+		}
+	})
 	var buf bytes.Buffer
-	w.WritePhases(&buf)
+	obs.NewPhaseTable().Write(&buf)
 	if !strings.Contains(buf.String(), "empty") {
 		t.Fatalf("phase rendering without a bus: %s", buf.String())
 	}

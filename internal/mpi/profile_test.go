@@ -4,12 +4,24 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"viampi/internal/obs"
 )
+
+// withReports turns cfg's observability bus on and attaches the call-profile
+// and phase-table subscribers a run report is rendered from.
+func withReports(cfg *Config) (*obs.CallProfile, *obs.PhaseTable) {
+	cfg.Obs = obs.NewBus()
+	calls, phases := obs.NewCallProfile(), obs.NewPhaseTable()
+	calls.Attach(cfg.Obs)
+	phases.Attach(cfg.Obs)
+	return calls, phases
+}
 
 func TestProfileAccounting(t *testing.T) {
 	cfg := testCfg(4)
-	cfg.Profile = true
-	w := runWorld(t, cfg, func(r *Rank) {
+	calls, _ := withReports(&cfg)
+	runWorld(t, cfg, func(r *Rank) {
 		c := r.World()
 		for i := 0; i < 10; i++ {
 			if err := c.Barrier(); err != nil {
@@ -28,42 +40,40 @@ func TestProfileAccounting(t *testing.T) {
 			}
 		}
 	})
-	p0 := w.Ranks[0].Profile
-	if p0 == nil {
-		t.Fatal("no profile collected")
+	if n, d := calls.Stat("Barrier", 0); n != 10 || d <= 0 {
+		t.Fatalf("Barrier profile on rank 0: %d calls, %v", n, d)
 	}
-	if p0["Barrier"] == nil || p0["Barrier"].Calls != 10 {
-		t.Fatalf("Barrier profile = %+v", p0["Barrier"])
-	}
-	if p0["Barrier"].Time <= 0 {
-		t.Fatal("Barrier time not accounted")
-	}
-	if p0["Send"] == nil || p0["Send"].Calls != 1 {
-		t.Fatalf("Send profile = %+v", p0["Send"])
+	if n, _ := calls.Stat("Send", 0); n != 1 {
+		t.Fatalf("Send profile on rank 0: %d calls", n)
 	}
 	// Nested Wait inside Barrier/Send must NOT appear separately.
-	if p0["Wait"] != nil || p0["Waitall"] != nil {
-		t.Fatalf("nested calls leaked into profile: %+v %+v", p0["Wait"], p0["Waitall"])
+	if n, _ := calls.Stat("Wait", 0); n != 0 {
+		t.Fatalf("nested Wait leaked into the profile: %d calls", n)
+	}
+	if n, _ := calls.Stat("Waitall", 0); n != 0 {
+		t.Fatalf("nested Waitall leaked into the profile: %d calls", n)
 	}
 	var buf bytes.Buffer
-	w.WriteProfile(&buf)
+	calls.Write(&buf)
 	out := buf.String()
 	if !strings.Contains(out, "Barrier") || !strings.Contains(out, "call") {
-		t.Fatalf("WriteProfile output:\n%s", out)
+		t.Fatalf("profile output:\n%s", out)
 	}
 }
 
+// TestProfileDisabledByDefault pins the zero-cost path: without a bus a rank
+// carries no profiler at all, and a profile that saw no call spans says so.
 func TestProfileDisabledByDefault(t *testing.T) {
-	w := runWorld(t, testCfg(2), func(r *Rank) {
+	runWorld(t, testCfg(2), func(r *Rank) {
+		if r.prof != nil {
+			t.Error("profiler allocated without an observability bus")
+		}
 		if err := r.World().Barrier(); err != nil {
 			t.Error(err)
 		}
 	})
-	if w.Ranks[0].Profile != nil {
-		t.Fatal("profile collected without Config.Profile")
-	}
 	var buf bytes.Buffer
-	w.WriteProfile(&buf)
+	obs.NewCallProfile().Write(&buf)
 	if !strings.Contains(buf.String(), "empty") {
 		t.Fatalf("empty profile rendering: %s", buf.String())
 	}

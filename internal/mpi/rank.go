@@ -62,6 +62,12 @@ type Rank struct {
 	// table, so progress behaviour is independent of creation order.
 	active   []*chanState // live channels sorted by peer rank
 	peakLive int          // high-water mark of len(active) (RankStats.PeakChans)
+	// pastDests holds, sorted, the peers of torn-down channels that carried
+	// user sends. With the live channels it makes RankStats.DistinctDests,
+	// so a peer whose channel was evicted is still counted; it grows with
+	// the peers addressed, never with the world.
+	pastDests []int
+
 	viToChan map[*via.VI]*chanState
 	addrs    []via.Addr // shared bootstrap table (world rank -> VIA address)
 
@@ -307,6 +313,11 @@ func (r *Rank) teardownChannel(cs *chanState) {
 	cs.pendingClose = nil
 	cs.closing = false
 	delete(r.viToChan, cs.ch.Vi)
+	if cs.userSends > 0 {
+		if i, found := slices.BinarySearch(r.pastDests, cs.peer); !found {
+			r.pastDests = slices.Insert(r.pastDests, i, cs.peer)
+		}
+	}
 	for i, c := range r.active {
 		if c == cs {
 			r.active = append(r.active[:i], r.active[i+1:]...)

@@ -47,7 +47,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"viampi/internal/obs"
 )
@@ -128,6 +127,8 @@ const (
 // (which writes the header immediately), feed it via Attach or Consume, and
 // Close it to seal the bundle with the end marker and event count.
 type Writer struct {
+	obs.Attachment // feeds Consume; Close detaches, so a sealed bundle stops consuming
+
 	out    io.Writer
 	buf    []byte
 	names  map[string]uint64
@@ -135,8 +136,6 @@ type Writer struct {
 	events int64
 	flushd int64 // bytes handed to out so far
 	err    error
-	bus    *obs.Bus
-	sub    obs.Sub
 }
 
 // NewWriter writes the bundle header for h to out and returns a Writer for
@@ -147,6 +146,7 @@ func NewWriter(out io.Writer, h Header) (*Writer, error) {
 		buf:   make([]byte, 0, flushAt+512),
 		names: make(map[string]uint64),
 	}
+	w.Attachment = obs.Feeding(w.Consume)
 	w.buf = append(w.buf, 'V', 'I', 'A', 'C', Version, byte(h.Clock))
 	w.buf = binary.AppendUvarint(w.buf, uint64(h.World))
 	w.buf = binary.AppendVarint(w.buf, h.Seed)
@@ -161,15 +161,6 @@ func NewWriter(out io.Writer, h Header) (*Writer, error) {
 		return nil, w.err
 	}
 	return w, nil
-}
-
-// Attach subscribes the writer to b. A nil bus is ignored. Close detaches
-// again, so a sealed bundle never keeps consuming bus events.
-func (w *Writer) Attach(b *obs.Bus) {
-	if b == nil {
-		return
-	}
-	w.bus, w.sub = b, b.Subscribe(w.Consume)
 }
 
 // Consume encodes one event. It is the recording hot path: at steady state
@@ -228,10 +219,7 @@ func (w *Writer) flush() {
 // after Close would corrupt a sealed bundle). The underlying io.Writer is
 // not closed. Close reports the first error the writer encountered anywhere.
 func (w *Writer) Close() error {
-	if w.bus != nil {
-		w.bus.Unsubscribe(w.sub)
-		w.bus = nil
-	}
+	w.Detach()
 	if w.err == nil {
 		w.buf = append(w.buf, 0)
 		w.buf = binary.AppendUvarint(w.buf, uint64(w.events))
@@ -423,47 +411,13 @@ func ReadBundle(r io.Reader) (*Bundle, error) {
 }
 
 // EmitAll replays the bundle's events onto a bus in recorded order — the
-// bridge back into every existing obs consumer (Recorder, Collector,
-// trace.Recorder): attach them, EmitAll, and render exactly what the live
-// run would have rendered.
+// bridge back into every obs subscriber (Recorder, Collector, Traffic,
+// CallProfile, PhaseTable): attach them, EmitAll, and render exactly what
+// the live run would have rendered.
 func (b *Bundle) EmitAll(bus *obs.Bus) {
 	for _, e := range b.Events {
 		bus.Emit(e)
 	}
-}
-
-// PhaseRows rebuilds the phase-table inputs from the run-epilogue events:
-// one EvPhase per (rank, phase) carrying charged nanoseconds, and EvRunEnd
-// carrying the elapsed time every row is normalized against. Feeding the
-// result to obs.WritePhaseTable reproduces the live run's table.
-func (b *Bundle) PhaseRows() []obs.PhaseRow {
-	var elapsed int64
-	perRank := make(map[int32]*obs.Phases)
-	var ranks []int
-	for _, e := range b.Events {
-		switch e.Kind {
-		case obs.EvPhase:
-			p := perRank[e.Rank]
-			if p == nil {
-				p = &obs.Phases{}
-				perRank[e.Rank] = p
-				ranks = append(ranks, int(e.Rank))
-			}
-			if e.A >= 0 && e.A < int64(obs.NumPhases) {
-				p.Ns[e.A] = e.B
-			}
-		case obs.EvRunEnd:
-			elapsed = e.T
-		default:
-			// Protocol events carry no phase accounting.
-		}
-	}
-	sort.Ints(ranks)
-	rows := make([]obs.PhaseRow, 0, len(ranks))
-	for _, rk := range ranks {
-		rows = append(rows, obs.PhaseRow{Rank: rk, Elapsed: elapsed, P: perRank[int32(rk)]})
-	}
-	return rows
 }
 
 // Ring is a bounded event buffer with the same Consume interface as Writer:
@@ -473,12 +427,11 @@ func (b *Bundle) PhaseRows() []obs.PhaseRow {
 // file, and a flush-on-signal or flush-on-crash dump of the last N events is
 // exactly what a postmortem needs.
 type Ring struct {
+	obs.Attachment
 	h    Header
 	buf  []obs.Event
 	next int
 	n    int64
-	bus  *obs.Bus
-	sub  obs.Sub
 }
 
 // NewRing returns a ring holding the last capacity events (minimum 1).
@@ -486,23 +439,9 @@ func NewRing(h Header, capacity int) *Ring {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Ring{h: h, buf: make([]obs.Event, capacity)}
-}
-
-// Attach subscribes the ring to b. A nil bus is ignored.
-func (r *Ring) Attach(b *obs.Bus) {
-	if b == nil {
-		return
-	}
-	r.bus, r.sub = b, b.Subscribe(r.Consume)
-}
-
-// Detach unsubscribes the ring; retained events stay dumpable.
-func (r *Ring) Detach() {
-	if r.bus != nil {
-		r.bus.Unsubscribe(r.sub)
-		r.bus = nil
-	}
+	r := &Ring{h: h, buf: make([]obs.Event, capacity)}
+	r.Attachment = obs.Feeding(r.Consume)
+	return r
 }
 
 // Consume stores one event, evicting the oldest when full. Allocation-free.

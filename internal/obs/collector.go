@@ -4,6 +4,7 @@ package obs
 // gauges, and the derived histograms (message latency from send→recv pairs,
 // connect time from request→up pairs, egress serialization wait).
 type Collector struct {
+	Attachment
 	reg *Registry
 
 	// In-flight matching state. Keys are composed rank pairs; maps are
@@ -14,9 +15,6 @@ type Collector struct {
 	connect   *Histogram
 	egress    *Histogram
 	reconn    *Histogram
-
-	bus *Bus
-	sub Sub
 }
 
 type msgKey struct {
@@ -48,23 +46,8 @@ func NewCollector(reg *Registry) *Collector {
 	c.connect = reg.Hist("conn.setup_ns", timeBuckets())
 	c.egress = reg.Hist("frame.egress_wait_ns", timeBuckets())
 	c.reconn = reg.Hist("conn.reconnect_ns", timeBuckets())
+	c.Attachment = Feeding(c.consume)
 	return c
-}
-
-// Attach subscribes the collector to b. A nil bus is ignored.
-func (c *Collector) Attach(b *Bus) {
-	if b == nil {
-		return
-	}
-	c.bus, c.sub = b, b.Subscribe(c.consume)
-}
-
-// Detach unsubscribes the collector; the registry keeps its counts.
-func (c *Collector) Detach() {
-	if c.bus != nil {
-		c.bus.Unsubscribe(c.sub)
-		c.bus = nil
-	}
 }
 
 func pairKey(rank, peer int32) uint64 {

@@ -1,12 +1,15 @@
 // Package obs is the virtual-time flight recorder: a typed event bus every
-// simulation layer emits into, a metrics registry folded from those events,
-// and exporters (Chrome trace-event / Perfetto JSON, phase decomposition)
-// that make the paper's quantities — VIs created vs. used, where init time
-// goes, credit stalls, FIFO parking — visible for any run.
+// simulation layer emits into, and the subscribers that fold it into every
+// run report — metrics registry, Chrome trace-event / Perfetto JSON,
+// communication matrix, call profile, phase decomposition — making the
+// paper's quantities (VIs created vs. used, who talks to whom, where init
+// time goes, credit stalls, FIFO parking) visible for any run. Because each
+// report is a pure function of the event stream, a replayed capture bundle
+// reproduces it byte for byte.
 //
-// The package is a shared leaf like internal/trace: any layer may import it,
-// it imports only the standard library, and it contains no clocks of its own.
-// Every event carries the simnet virtual timestamp its emitter observed, so
+// The package is a shared leaf: any layer may import it, it imports only
+// the standard library, and it contains no clocks of its own. Every event
+// carries the simnet virtual timestamp its emitter observed, so
 // the whole layer is a pure function of the run's Config. When observability
 // is off the bus handle is nil and Emit is a nil-receiver no-op costing one
 // branch and zero allocations — the same fast path as the mpi profiler.
@@ -48,8 +51,8 @@ const (
 	EvFrameEnqueue // A = wire bytes, B = egress serialization wait (ns)
 	EvFrameDeliver // A = wire bytes
 
-	// User messages (one per point-to-point send; what trace.Recorder
-	// consumes). A = bytes, B = tag, C = per-(src,dst) sequence number.
+	// User messages (one per point-to-point send; what the Traffic matrix
+	// counts). A = bytes, B = tag, C = per-(src,dst) sequence number.
 	EvMsgSend
 	EvMsgRecv // A = bytes, B = tag, C = per-(src,dst) sequence number
 
@@ -201,5 +204,34 @@ func (b *Bus) Emit(e Event) {
 			continue
 		}
 		fn(e)
+	}
+}
+
+// Attachment is the subscription handle every bus subscriber embeds: Attach
+// subscribes the subscriber's fold function, and Detach takes it off the bus
+// again — the Unsubscribe path Subscribe demands. Whatever the subscriber
+// folded stays readable after Detach.
+type Attachment struct {
+	fn  func(Event)
+	bus *Bus
+	sub Sub
+}
+
+// Feeding returns the handle for a subscriber whose events go to fn.
+func Feeding(fn func(Event)) Attachment { return Attachment{fn: fn} }
+
+// Attach subscribes to b. A nil bus is ignored.
+func (a *Attachment) Attach(b *Bus) {
+	if b == nil {
+		return
+	}
+	a.bus, a.sub = b, b.Subscribe(a.fn)
+}
+
+// Detach unsubscribes from the bus Attach subscribed to. Idempotent.
+func (a *Attachment) Detach() {
+	if a.bus != nil {
+		a.bus.Unsubscribe(a.sub)
+		a.bus = nil
 	}
 }

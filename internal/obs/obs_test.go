@@ -169,11 +169,14 @@ func TestRecorderRuns(t *testing.T) {
 }
 
 func TestPhaseTableResidual(t *testing.T) {
-	p := &Phases{}
-	p.Add(PhaseCompute, 600)
-	p.Add(PhaseConnect, 300)
+	bus := NewBus()
+	pt := NewPhaseTable()
+	pt.Attach(bus)
+	bus.Emit(Event{Kind: EvPhase, Peer: -1, A: int64(PhaseCompute), B: 600, Name: PhaseCompute.String()})
+	bus.Emit(Event{Kind: EvPhase, Peer: -1, A: int64(PhaseConnect), B: 300, Name: PhaseConnect.String()})
+	bus.Emit(Event{T: 1000, Kind: EvRunEnd, Rank: -1, Peer: -1, A: 1})
 	var buf bytes.Buffer
-	WritePhaseTable(&buf, []PhaseRow{{Rank: 0, Elapsed: 1000, P: p}})
+	pt.Write(&buf)
 	out := buf.String()
 	if !strings.Contains(out, "compute") || !strings.Contains(out, "credit-stall") {
 		t.Fatalf("missing phase columns:\n%s", out)

@@ -71,34 +71,71 @@ func (ph *Phases) Total() int64 {
 	return t
 }
 
-// PhaseRow is one rank's line in the phase report.
-type PhaseRow struct {
-	Rank    int
-	Elapsed int64 // the rank's total virtual nanoseconds (the denominator)
-	P       *Phases
+// PhaseTable is the phase-decomposition subscriber. It folds the run
+// epilogue — one EvPhase per (rank, phase) carrying the rank's charged
+// nanoseconds, and EvRunEnd carrying the elapsed time every row is
+// normalized against — so the live bus and a replayed capture bundle render
+// the same table.
+type PhaseTable struct {
+	Attachment
+	perRank map[int32]*Phases
+	elapsed int64
 }
 
-// WritePhaseTable renders the per-rank phase decomposition: one row per
-// rank, a column per phase (milliseconds and percent of elapsed), with
-// "other" computed as the residual so the row always sums to Elapsed.
-func WritePhaseTable(w io.Writer, rows []PhaseRow) {
+// NewPhaseTable returns an empty phase table.
+func NewPhaseTable() *PhaseTable {
+	pt := &PhaseTable{perRank: map[int32]*Phases{}}
+	pt.Attachment = Feeding(pt.consume)
+	return pt
+}
+
+func (pt *PhaseTable) consume(e Event) {
+	switch e.Kind {
+	case EvPhase:
+		p := pt.perRank[e.Rank]
+		if p == nil {
+			p = &Phases{}
+			pt.perRank[e.Rank] = p
+		}
+		if e.A >= 0 && e.A < int64(NumPhases) {
+			p.Ns[e.A] = e.B
+		}
+	case EvRunEnd:
+		pt.elapsed = e.T
+	default:
+		// Protocol events carry no phase accounting.
+	}
+}
+
+// Rank returns one rank's charged phases (nil if none were reported).
+func (pt *PhaseTable) Rank(rank int) *Phases { return pt.perRank[int32(rank)] }
+
+// Write renders the per-rank phase decomposition: one row per rank, a
+// column per phase (milliseconds and percent of elapsed), with "other"
+// computed as the residual so the row always sums to the elapsed time.
+func (pt *PhaseTable) Write(w io.Writer) {
+	if len(pt.perRank) == 0 {
+		fmt.Fprintln(w, "phases: empty (no phase records reached the bus)")
+		return
+	}
 	fmt.Fprintf(w, "%-5s %10s", "rank", "elapsed")
 	for p := PhaseCompute; p < NumPhases; p++ {
 		fmt.Fprintf(w, " %18s", p.String())
 	}
 	fmt.Fprintln(w)
-	for _, row := range rows {
-		fmt.Fprintf(w, "%-5d %8.2fms", row.Rank, float64(row.Elapsed)/1e6)
+	for _, r := range sortedKeys(pt.perRank) {
+		ph := pt.perRank[r]
+		fmt.Fprintf(w, "%-5d %8.2fms", r, float64(pt.elapsed)/1e6)
 		for p := PhaseCompute; p < NumPhases; p++ {
-			ns := row.P.Ns[p]
+			ns := ph.Ns[p]
 			if p == PhaseOther {
-				if resid := row.Elapsed - row.P.Total() + row.P.Ns[PhaseOther]; resid > 0 {
+				if resid := pt.elapsed - ph.Total() + ph.Ns[PhaseOther]; resid > 0 {
 					ns = resid
 				}
 			}
 			pct := 0.0
-			if row.Elapsed > 0 {
-				pct = 100 * float64(ns) / float64(row.Elapsed)
+			if pt.elapsed > 0 {
+				pct = 100 * float64(ns) / float64(pt.elapsed)
 			}
 			fmt.Fprintf(w, " %10.2fms %5.1f%%", float64(ns)/1e6, pct)
 		}

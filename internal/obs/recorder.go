@@ -4,9 +4,8 @@ package obs
 // split into named runs (cmd/figures records every measurement run of an
 // experiment into one recorder; each run becomes a Perfetto process).
 type Recorder struct {
+	Attachment
 	runs []run
-	bus  *Bus
-	sub  Sub
 }
 
 type run struct {
@@ -16,24 +15,9 @@ type run struct {
 
 // NewRecorder returns a recorder with one open (unnamed) run.
 func NewRecorder() *Recorder {
-	return &Recorder{runs: []run{{}}}
-}
-
-// Attach subscribes the recorder to b. A nil bus is ignored.
-func (r *Recorder) Attach(b *Bus) {
-	if b == nil {
-		return
-	}
-	r.bus, r.sub = b, b.Subscribe(r.record)
-}
-
-// Detach unsubscribes the recorder from the bus it was attached to; the
-// recorded runs remain readable.
-func (r *Recorder) Detach() {
-	if r.bus != nil {
-		r.bus.Unsubscribe(r.sub)
-		r.bus = nil
-	}
+	r := &Recorder{runs: []run{{}}}
+	r.Attachment = Feeding(r.record)
+	return r
 }
 
 func (r *Recorder) record(e Event) {
