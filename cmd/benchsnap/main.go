@@ -287,9 +287,10 @@ func simcoreSnapshot(w io.Writer, smoke bool) error {
 // would add tens of minutes per run. Both runs render identical tables
 // (internal/bench's merge-determinism test asserts this); only the wall
 // fields differ, and they are machine-dependent like every wall figure in
-// this file. On a single-core host the two runs coincide and the speedup
-// sits at ~1.0; on an N-core host the grid's independent cells should push
-// it toward min(N, cells on the critical row).
+// this file. The host's shape (nproc, GOMAXPROCS) is recorded beside them.
+// With GOMAXPROCS < 2 both runs are j=1, so their ratio is noise, not a
+// speedup, and the speedup field is omitted; on an N-core host the grid's
+// independent cells should push it toward min(N, cells on the critical row).
 func sweepWallClock(w io.Writer) error {
 	maxJ := runtime.GOMAXPROCS(0)
 	opt := bench.Options{Quick: true, Seed: 1}
@@ -302,8 +303,11 @@ func sweepWallClock(w io.Writer) error {
 		}
 		walls[i] = time.Since(start)
 	}
-	fmt.Fprintf(w, "  \"sweep_wall_clock\": {\"suite\": \"ext-init\", \"quick\": true, \"gomaxprocs\": %d, \"wall_ns_j1\": %d, \"wall_ns_jmax\": %d, \"speedup\": %.2f},\n",
-		maxJ, walls[0].Nanoseconds(), walls[1].Nanoseconds(),
-		float64(walls[0])/float64(walls[1]))
+	fmt.Fprintf(w, "  \"sweep_wall_clock\": {\"suite\": \"ext-init\", \"quick\": true, \"nproc\": %d, \"gomaxprocs\": %d, \"wall_ns_j1\": %d, \"wall_ns_jmax\": %d",
+		runtime.NumCPU(), maxJ, walls[0].Nanoseconds(), walls[1].Nanoseconds())
+	if maxJ >= 2 {
+		fmt.Fprintf(w, ", \"speedup\": %.2f", float64(walls[0])/float64(walls[1]))
+	}
+	fmt.Fprint(w, "},\n")
 	return nil
 }

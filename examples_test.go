@@ -80,10 +80,3 @@ func TestToolMpirunSim(t *testing.T) {
 		t.Fatalf("unexpected output:\n%s", out)
 	}
 }
-
-func TestToolMicrobench(t *testing.T) {
-	out := runExample(t, "./cmd/microbench", "-op", "barrier", "-procs", "4", "-iters", "10")
-	if !strings.Contains(out, "barrier on 4 procs") {
-		t.Fatalf("unexpected output:\n%s", out)
-	}
-}

@@ -246,7 +246,7 @@ func DefaultPolicy() *Policy {
 			"internal/via":  true,
 		},
 		ChargeFlowExempt: map[string]string{
-			"internal/via.(Network).open": "boot-time endpoint attach; MPI_Init cost is charged by the connection managers, not port creation",
+			"internal/via.(Network).Open": "boot-time endpoint attach; MPI_Init cost is charged by the connection managers, not port creation",
 			"internal/via.(Port).SendOob": "out-of-band management network (Ethernet/TCP bootstrap); bypasses the NIC by design, §ARCHITECTURE 'never for MPI traffic'",
 		},
 

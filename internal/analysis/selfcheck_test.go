@@ -63,26 +63,45 @@ func TestPolicyNotStale(t *testing.T) {
 // no longer needs it. Each exemption entry is dropped on its own and only
 // its rule runs over the tree; the rule must then fire, or the entry is
 // dead weight that would silently excuse the next real violation.
+// The lists that are empty today (MapOrderAllow, SeqCheckAllow,
+// ProtocolNeverSent) have rows too, so any entry added later must fire.
 func TestAllowlistsLoadBearing(t *testing.T) {
 	m := loadRepo(t)
-	for _, tc := range []struct {
-		list, rule string
-		entries    func(*Policy) map[string]string
-	}{
-		{"ChargeFlowExempt", "chargeflow", func(p *Policy) map[string]string { return p.ChargeFlowExempt }},
-		{"WakeReachAllow", "wakereach", func(p *Policy) map[string]string { return p.WakeReachAllow }},
-		{"LockOrderAllow", "lockorder", func(p *Policy) map[string]string { return p.LockOrderAllow }},
-		{"PairedAllow", "paired", func(p *Policy) map[string]string { return p.PairedAllow }},
-		{"DeterminismExempt", "determinism", func(p *Policy) map[string]string { return p.DeterminismExempt }},
+	for _, tc := range []allowlistRow{
+		newAllowlistRow("ChargeFlowExempt", "chargeflow", func(p *Policy) map[string]string { return p.ChargeFlowExempt }),
+		newAllowlistRow("WakeReachAllow", "wakereach", func(p *Policy) map[string]string { return p.WakeReachAllow }),
+		newAllowlistRow("LockOrderAllow", "lockorder", func(p *Policy) map[string]string { return p.LockOrderAllow }),
+		newAllowlistRow("PairedAllow", "paired", func(p *Policy) map[string]string { return p.PairedAllow }),
+		newAllowlistRow("DeterminismExempt", "determinism", func(p *Policy) map[string]string { return p.DeterminismExempt }),
+		newAllowlistRow("GoStmtAllowed", "determinism", func(p *Policy) map[string]bool { return p.GoStmtAllowed }),
+		newAllowlistRow("EnumExclude", "exhaustive", func(p *Policy) map[string]string { return p.EnumExclude }),
+		newAllowlistRow("ColdCalls", "hotalloc", func(p *Policy) map[string]bool { return p.ColdCalls }),
+		newAllowlistRow("MapOrderAllow", "maporder", func(p *Policy) map[string]string { return p.MapOrderAllow }),
+		newAllowlistRow("SeqCheckAllow", "seqcheck", func(p *Policy) map[string]string { return p.SeqCheckAllow }),
+		newAllowlistRow("ProtocolNeverSent", "protocol", func(p *Policy) map[string]string { return p.ProtocolNeverSent }),
 	} {
-		for _, key := range sortedKeys(tc.entries(DefaultPolicy())) {
+		for _, key := range tc.keys(DefaultPolicy()) {
 			p := DefaultPolicy()
-			delete(tc.entries(p), key)
+			tc.drop(p, key)
 			if ds := ByName(tc.rule).Run(m, p); len(ds) == 0 {
 				t.Errorf("policy.%s[%q] is not load-bearing: without it %s still reports nothing; delete the entry", tc.list, key, tc.rule)
 			}
 		}
 	}
+}
+
+// allowlistRow pairs one exemption list with the rule it excuses; keys and
+// drop hide the list's value type (reasons or plain set membership).
+type allowlistRow struct {
+	list, rule string
+	keys       func(*Policy) []string
+	drop       func(p *Policy, key string)
+}
+
+func newAllowlistRow[V any](list, rule string, entries func(*Policy) map[string]V) allowlistRow {
+	return allowlistRow{list, rule,
+		func(p *Policy) []string { return sortedKeys(entries(p)) },
+		func(p *Policy, key string) { delete(entries(p), key) }}
 }
 
 // TestLeafLocksLoadBearing checks each LeafLocks entry guards live code.

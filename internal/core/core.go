@@ -145,12 +145,10 @@ type Config struct {
 	StartEvict func(ch *Channel)
 
 	// ConnTimeout bounds one connection attempt; 0 arms no timers (the
-	// default — timing-neutral for fault-free runs). ConnRetryMax caps
-	// attempts (default 8); ConnBackoff seeds the exponential backoff
-	// between attempts (default 200 µs).
-	ConnTimeout  simnet.Duration
-	ConnRetryMax int
-	ConnBackoff  simnet.Duration
+	// default — timing-neutral for fault-free runs). A timed-out or NACKed
+	// attempt is retried after connBackoff, doubling per attempt, up to
+	// connRetryMax attempts.
+	ConnTimeout simnet.Duration
 
 	// EpRanks optionally shares one endpoint→rank table (the inverse of
 	// Addrs) across every rank's manager. When nil the manager builds its
@@ -294,19 +292,16 @@ func (b *base) ReleaseChannel(rank int) {
 	}
 }
 
-// retryMax and backoff resolve the retry knobs' defaults.
-func (b *base) retryMax() int {
-	if b.cfg.ConnRetryMax > 0 {
-		return b.cfg.ConnRetryMax
-	}
-	return 8
-}
+// Connection retry schedule: at most connRetryMax attempts per channel, and
+// the wait after the n-th failed attempt is connBackoff << (n-1).
+const (
+	connRetryMax = 8
+	connBackoff  = 200 * simnet.Microsecond
+)
 
-func (b *base) backoff(attempts int) simnet.Duration {
-	d := b.cfg.ConnBackoff
-	if d <= 0 {
-		d = 200 * simnet.Microsecond
-	}
+// backoff is the wait before reissuing after the attempts-th failure.
+func backoff(attempts int) simnet.Duration {
+	d := connBackoff
 	if attempts > 1 {
 		d <<= uint(attempts - 1)
 	}
@@ -333,13 +328,13 @@ func (b *base) issue(ch *Channel, remote via.Addr, disc uint64) error {
 // the run loudly once the attempt budget is spent — parked sends must never
 // be stranded silently.
 func (b *base) scheduleRetry(ch *Channel, why string) {
-	if ch.attempts >= b.retryMax() {
+	if ch.attempts >= connRetryMax {
 		b.cfg.Port.Owner().Sim().Failf(
 			"core: rank %d→%d connection %s after %d attempts; %d parked sends stranded",
 			b.cfg.Rank, ch.Rank, why, ch.attempts, ch.Parked())
 		return
 	}
-	d := b.backoff(ch.attempts)
+	d := backoff(ch.attempts)
 	ch.deadline = 0
 	ch.retryAt = b.cfg.Port.Owner().Now().Add(d)
 	b.cfg.Port.NotifyAfter(d)
@@ -419,13 +414,13 @@ func (b *base) connectWithRetry(ch *Channel, remote via.Addr, disc uint64) error
 		default:
 			return err
 		}
-		if ch.attempts >= b.retryMax() {
+		if ch.attempts >= connRetryMax {
 			return fmt.Errorf("core: rank %d→%d connection failed after %d attempts: %w",
 				b.cfg.Rank, ch.Rank, ch.attempts, err)
 		}
 		p.Obs().Emit(obs.Event{T: p.NowNs(), Kind: obs.EvConnRetry,
 			Rank: int32(b.cfg.Rank), Peer: int32(ch.Rank), A: int64(ch.attempts)})
-		p.Owner().Sleep(b.backoff(ch.attempts))
+		p.Owner().Sleep(backoff(ch.attempts))
 	}
 }
 
@@ -768,15 +763,4 @@ func NewManager(policy string, cfg Config) (Manager, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown connection policy %q", policy)
 	}
-}
-
-// Policies lists the available connection policies.
-func Policies() []string { return []string{"static-cs", "static-p2p", "ondemand"} }
-
-// InitTimer measures the virtual time spent in a manager's Init — the
-// quantity plotted in Figure 8.
-func InitTimer(p *simnet.Proc, m Manager) (simnet.Duration, error) {
-	start := p.Now()
-	err := m.Init()
-	return p.Now().Sub(start), err
 }

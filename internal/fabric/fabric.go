@@ -66,7 +66,6 @@ type Handler func(f Frame)
 
 // endpoint is a process's attachment point to its node's NIC.
 type endpoint struct {
-	id      int
 	node    int
 	handler Handler
 }
@@ -151,15 +150,12 @@ func (c *Cluster) AttachNode(node int, handler Handler) (int, error) {
 	if used >= c.cfg.ProcsPerNode {
 		return -1, fmt.Errorf("fabric: node %d full (%d slots)", node, c.cfg.ProcsPerNode)
 	}
-	c.eps = append(c.eps, &endpoint{id: id, node: node, handler: handler})
+	c.eps = append(c.eps, &endpoint{node: node, handler: handler})
 	return id, nil
 }
 
 // NodeOf returns the node hosting endpoint id.
 func (c *Cluster) NodeOf(id int) int { return c.eps[id].node }
-
-// Endpoints returns the number of attached endpoints.
-func (c *Cluster) Endpoints() int { return len(c.eps) }
 
 // Send injects a frame into the network at the current virtual time after
 // extra (the sender-side processing delay computed by the device model, e.g.

@@ -53,28 +53,6 @@ func TestBarrierAlgorithmsSynchronize(t *testing.T) {
 	}
 }
 
-func TestAllreduceAlgorithmsAgree(t *testing.T) {
-	for _, alg := range []string{"rd", "reduce-bcast"} {
-		for _, n := range []int{3, 8} {
-			cfg := testCfg(n)
-			cfg.AllreduceAlg = alg
-			runWorld(t, cfg, func(r *Rank) {
-				c := r.World()
-				me := float64(c.Rank())
-				got, err := c.AllreduceF64([]float64{me, me * 2}, SumF64)
-				if err != nil {
-					t.Errorf("%s: %v", alg, err)
-					return
-				}
-				want := float64(n*(n-1)) / 2
-				if got[0] != want || got[1] != 2*want {
-					t.Errorf("%s n=%d: got %v, want %v", alg, n, got, want)
-				}
-			})
-		}
-	}
-}
-
 // TestBarrierAlgConnectionFootprint: under on-demand, the tree barrier
 // creates fewer VIs than recursive doubling, which creates fewer than
 // dissemination — the connection/latency trade-off the variants exist for.

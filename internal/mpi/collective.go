@@ -225,29 +225,17 @@ func (c *Comm) Reduce(sendbuf, recvbuf []byte, op Op, root int) error {
 	return nil
 }
 
-// Allreduce combines every rank's sendbuf into recvbuf on all ranks. The
-// default is recursive doubling — the log2(N)-partner pattern whose
-// per-rank VI counts the paper's Table 2 measures for MVICH (4 at 16
-// processes, 5 at 32). Config.AllreduceAlg selects "reduce-bcast" (binomial
-// reduce to rank 0 plus broadcast — fewer connections, higher latency) for
-// the ablation.
+// Allreduce combines every rank's sendbuf into recvbuf on all ranks by
+// recursive doubling — the log2(N)-partner pattern whose per-rank VI
+// counts the paper's Table 2 measures for MVICH (4 at 16 processes, 5 at
+// 32).
 func (c *Comm) Allreduce(sendbuf, recvbuf []byte, op Op) error {
 	defer c.r.prof.enter("Allreduce")()
 	if len(recvbuf) < len(sendbuf) {
 		return fmt.Errorf("mpi: Allreduce recvbuf %d < sendbuf %d", len(recvbuf), len(sendbuf))
 	}
-	switch c.r.cfg.AllreduceAlg {
-	case "", "rd":
-		copy(recvbuf, sendbuf)
-		return c.recursiveDoubling(recvbuf[:len(sendbuf)], op, tagAllreduce)
-	case "reduce-bcast":
-		if err := c.Reduce(sendbuf, recvbuf, op, 0); err != nil {
-			return err
-		}
-		return c.Bcast(recvbuf[:len(sendbuf)], 0)
-	default:
-		return fmt.Errorf("mpi: unknown allreduce algorithm %q", c.r.cfg.AllreduceAlg)
-	}
+	copy(recvbuf, sendbuf)
+	return c.recursiveDoubling(recvbuf[:len(sendbuf)], op, tagAllreduce)
 }
 
 // AllreduceF64 is a convenience wrapper reducing float64 slices.

@@ -32,21 +32,15 @@ import (
 type Config struct {
 	Procs int // number of ranks (required)
 
-	// Device selects the VIA personality: "clan" (default) or "bvia".
+	// Device selects the VIA personality: "clan" (default), "bvia" or
+	// "ib". Ranks are placed in blocks of the device's processes per node:
+	// 4 on clan (the paper's quad-CPU nodes), 1 on bvia (its Berkeley VIA
+	// limitation) and 4 on ib.
 	Device string
-	// ProcsPerNode sets process placement; 0 defaults to 4 on clan (the
-	// paper's quad-CPU nodes) and 1 on bvia (its Berkeley VIA limitation).
-	ProcsPerNode int
 
 	// Policy selects connection management: "static-cs", "static-p2p" or
 	// "ondemand" (default).
 	Policy string
-
-	// Placement maps ranks onto nodes: "block" (default — ranks 0..p-1 on
-	// node 0, the usual mpirun behaviour) or "roundrobin" (rank r on node
-	// r mod nodes — neighbours land on different nodes, trading loopback
-	// for wire traffic).
-	Placement string
 
 	// WaitMode selects polling (default) or spinwait completion.
 	WaitMode via.WaitMode
@@ -61,14 +55,11 @@ type Config struct {
 
 	// DynamicCredits implements the paper's stated future work (§6):
 	// "combination of on-demand connection establishment and dynamic
-	// flow-control on each VI connection". Each channel starts with
-	// InitialCredits pre-posted buffers and doubles its pool toward
-	// CreditCount as traffic warrants, so the pinned footprint tracks
-	// per-peer traffic instead of the worst case.
+	// flow-control on each VI connection". Each channel starts with 4
+	// pre-posted buffers (the minimum the credit-reservation rule needs)
+	// and doubles its pool toward CreditCount as traffic warrants, so the
+	// pinned footprint tracks per-peer traffic instead of the worst case.
 	DynamicCredits bool
-	// InitialCredits is the starting pool size under DynamicCredits
-	// (default 4, the minimum the credit-reservation rule needs).
-	InitialCredits int
 
 	// MaxVIs caps the VI connections each rank keeps live (0 = unlimited,
 	// the paper's behaviour). Only meaningful under the "ondemand" policy:
@@ -79,13 +70,10 @@ type Config struct {
 
 	// Faults injects deterministic connection-establishment faults (drops,
 	// delays, NACKs, unavailability windows); see via.FaultPlan. Setting it
-	// defaults ConnTimeout to 2 ms so dropped requests are retried.
+	// bounds each connection attempt at 2 ms, after which it is cancelled
+	// and retried with backoff; without it no attempt timers are armed, so
+	// fault-free runs are timing-neutral.
 	Faults *via.FaultPlan
-	// ConnTimeout bounds one connection attempt before it is cancelled and
-	// retried with backoff; 0 arms no timers (the default — timing-neutral
-	// for fault-free runs). ConnRetries caps attempts (default 8).
-	ConnTimeout simnet.Duration
-	ConnRetries int
 
 	Seed     int64
 	Deadline simnet.Duration // abort guard on virtual time; 0 = none
@@ -97,10 +85,9 @@ type Config struct {
 	// prevents and must never be set otherwise.
 	UnsafeNoSendFifo bool
 
-	// TuneCost and TuneFabric allow experiments to perturb the device
-	// model after defaults are applied.
-	TuneCost   func(*via.CostModel)
-	TuneFabric func(*fabric.Config)
+	// TuneCost lets experiments perturb the device cost model after
+	// defaults are applied.
+	TuneCost func(*via.CostModel)
 
 	// Obs, when set, is the observability event bus: every layer (simnet,
 	// fabric, via, core, mpi) stamps structured events onto it in virtual
@@ -114,10 +101,8 @@ type Config struct {
 
 	// BarrierAlg selects the barrier algorithm: "rd" (default, recursive
 	// doubling), "dissemination", or "tree" (binomial combine+broadcast).
-	// AllreduceAlg selects "rd" (default) or "reduce-bcast". These exist
-	// for the connection-footprint vs. latency ablation.
-	BarrierAlg   string
-	AllreduceAlg string
+	// It exists for the connection-footprint vs. latency ablation.
+	BarrierAlg string
 
 	cost via.CostModel // resolved by normalize
 }
@@ -144,58 +129,29 @@ func (c *Config) normalize() (fabric.Config, error) {
 	if c.CreditCount < 4 {
 		return fabric.Config{}, fmt.Errorf("mpi: CreditCount %d too small (min 4)", c.CreditCount)
 	}
-	if c.InitialCredits == 0 {
-		c.InitialCredits = 4
-	}
-	if c.DynamicCredits && (c.InitialCredits < 4 || c.InitialCredits > c.CreditCount) {
-		return fabric.Config{}, fmt.Errorf("mpi: InitialCredits %d outside [4, CreditCount=%d]",
-			c.InitialCredits, c.CreditCount)
-	}
 	if c.MaxVIs < 0 {
 		return fabric.Config{}, fmt.Errorf("mpi: MaxVIs must be non-negative, got %d", c.MaxVIs)
 	}
 	if c.MaxVIs != 0 && c.Policy != "ondemand" {
 		return fabric.Config{}, fmt.Errorf("mpi: MaxVIs requires the ondemand policy, got %q", c.Policy)
 	}
-	if c.Faults != nil && c.ConnTimeout == 0 {
-		c.ConnTimeout = 2 * simnet.Millisecond
-	}
 	var fcfg fabric.Config
-	switch c.Placement {
-	case "", "block", "roundrobin":
-	default:
-		return fabric.Config{}, fmt.Errorf("mpi: unknown placement %q", c.Placement)
-	}
+	nodes := func(ppn int) int { return (c.Procs + ppn - 1) / ppn }
 	switch c.Device {
 	case "clan":
-		if c.ProcsPerNode == 0 {
-			c.ProcsPerNode = 4
-		}
-		nodes := (c.Procs + c.ProcsPerNode - 1) / c.ProcsPerNode
-		fcfg = via.ClanFabric(nodes, c.ProcsPerNode)
+		fcfg = via.ClanFabric(nodes(4), 4)
 		c.cost = via.ClanCost()
 	case "bvia":
-		if c.ProcsPerNode == 0 {
-			c.ProcsPerNode = 1
-		}
-		nodes := (c.Procs + c.ProcsPerNode - 1) / c.ProcsPerNode
-		fcfg = via.BviaFabric(nodes, c.ProcsPerNode)
+		fcfg = via.BviaFabric(nodes(1), 1)
 		c.cost = via.BviaCost()
 	case "ib":
-		if c.ProcsPerNode == 0 {
-			c.ProcsPerNode = 4
-		}
-		nodes := (c.Procs + c.ProcsPerNode - 1) / c.ProcsPerNode
-		fcfg = via.IbFabric(nodes, c.ProcsPerNode)
+		fcfg = via.IbFabric(nodes(4), 4)
 		c.cost = via.IbCost()
 	default:
 		return fabric.Config{}, fmt.Errorf("mpi: unknown device %q", c.Device)
 	}
 	if c.TuneCost != nil {
 		c.TuneCost(&c.cost)
-	}
-	if c.TuneFabric != nil {
-		c.TuneFabric(&fcfg)
 	}
 	return fcfg, nil
 }
@@ -290,7 +246,9 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 	}
 	sim.SetObs(cfg.Obs)
 	net := via.NewNetwork(sim, fcfg, cfg.cost)
+	var connTimeout simnet.Duration // 0 arms no attempt timers
 	if cfg.Faults != nil {
+		connTimeout = 2 * simnet.Millisecond
 		if cfg.Faults.Seed == 0 {
 			cfg.Faults.Seed = cfg.Seed
 		}
@@ -308,13 +266,7 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 	for i := 0; i < n; i++ {
 		i := i
 		sim.Spawn(fmt.Sprintf("rank%d", i), 0, func(p *simnet.Proc) {
-			var port *via.Port
-			var err error
-			if cfg.Placement == "roundrobin" {
-				port, err = net.OpenOnNode(p, i%fcfg.Nodes)
-			} else {
-				port, err = net.Open(p)
-			}
+			port, err := net.Open(p)
 			if err != nil {
 				sim.Failf("mpi: rank %d open: %v", i, err)
 				return
@@ -370,8 +322,7 @@ func Run(cfg Config, main func(r *Rank)) (*World, error) {
 				MaxVIs:         cfg.MaxVIs,
 				CanEvict:       r.canEvict,
 				StartEvict:     r.startEvict,
-				ConnTimeout:    cfg.ConnTimeout,
-				ConnRetryMax:   cfg.ConnRetries,
+				ConnTimeout:    connTimeout,
 			}
 			mgr, err := core.NewManager(cfg.Policy, mcfg)
 			if err != nil {

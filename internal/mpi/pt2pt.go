@@ -72,7 +72,7 @@ func (c *Comm) isendCtx(mode SendMode, dst, tag int, data []byte, ctx int32) (*R
 		return nil, fmt.Errorf("mpi: Isend to rank %d of %d", dst, c.Size())
 	}
 	world := c.ranks[dst]
-	req := &Request{r: r, dstWorld: world, mode: mode, data: data}
+	req := &Request{data: data}
 
 	r.obsSend(world, len(data), tag)
 	if world == r.rank {
@@ -138,7 +138,7 @@ func (c *Comm) irecvCtx(buf []byte, src, tag int, ctx int32) (*Request, error) {
 	if src != AnySource && (src < 0 || src >= c.Size()) {
 		return nil, fmt.Errorf("mpi: Irecv from rank %d of %d", src, c.Size())
 	}
-	req := &Request{r: r, isRecv: true, buf: buf, src: src, tag: tag, ctx: ctx}
+	req := &Request{buf: buf, src: src, tag: tag, ctx: ctx}
 
 	// Paper §3.5: a receive from ANY_SOURCE forces connections to everyone
 	// in the communicator; §4: a specific-source receive initiates the

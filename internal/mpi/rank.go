@@ -27,7 +27,6 @@ type chanState struct {
 
 	// Graceful-teardown state (VI-cap eviction / remote disconnect).
 	closing      bool   // BYE handshake in progress; new sends are held
-	evict        bool   // we initiated the BYE (cap eviction)
 	pendingClose []*pkt // packets held while closing, re-posted after
 	pendingRdv   int    // rendezvous handshakes in flight on this channel
 	umqRefs      int    // unexpected RTS entries still referencing this channel
@@ -198,13 +197,17 @@ type abortPanic struct{ code int }
 // ---------------------------------------------------------------------------
 // Channel lifecycle (hooks given to the connection manager)
 
+// initialCredits is a channel's starting pool size under DynamicCredits: the
+// minimum the credit-reservation rule needs (and the smallest CreditCount).
+const initialCredits = 4
+
 // prepareChannel pre-posts the eager receive pool on a fresh VI, before the
 // connection can complete — so data can never arrive without a descriptor.
 func (r *Rank) prepareChannel(ch *core.Channel) {
 	peer := ch.Rank
 	initial := r.cfg.CreditCount
 	if r.cfg.DynamicCredits {
-		initial = r.cfg.InitialCredits
+		initial = initialCredits
 	}
 	cs := &chanState{peer: peer, ch: ch, credits: initial}
 	ch.UserData = cs
@@ -291,7 +294,7 @@ func (r *Rank) canEvict(ch *core.Channel) bool {
 // startEvict opens the teardown handshake for a cap eviction.
 func (r *Rank) startEvict(ch *core.Channel) {
 	cs := ch.UserData.(*chanState)
-	cs.closing, cs.evict = true, true
+	cs.closing = true
 	r.emit(cs, &pkt{hdr: hdr{kind: pktBye, srcRank: int32(r.rank)}})
 }
 
@@ -703,7 +706,7 @@ func (r *Rank) handlePacket(cs *chanState, wire []byte) {
 	case pktByeNack:
 		// The peer had traffic in flight: abandon the eviction and release
 		// the sends held during the handshake.
-		cs.closing, cs.evict = false, false
+		cs.closing = false
 		cs.ch.Evicting = false
 		held := cs.pendingClose
 		cs.pendingClose = nil

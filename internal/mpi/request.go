@@ -48,11 +48,8 @@ type Status struct {
 
 // Request is a nonblocking operation handle (MPI_Request).
 type Request struct {
-	r      *Rank
-	id     int64
-	isRecv bool
-	done   bool
-	err    error
+	done bool
+	err  error
 
 	// receive fields
 	buf    []byte
@@ -67,10 +64,7 @@ type Request struct {
 	rdvSize int
 
 	// send fields
-	data     []byte
-	dstWorld int // destination world rank
-	mode     SendMode
-	sentRts  bool
+	data []byte
 }
 
 // Done reports whether the request has completed.

@@ -76,17 +76,6 @@ func (g *Registry) SetGauge(name string, v int64) {
 	}
 }
 
-// Gauge returns the named gauge's (current, max) values.
-func (g *Registry) Gauge(name string) (cur, max int64) {
-	if g == nil {
-		return 0, 0
-	}
-	if gv := g.gauges[name]; gv != nil {
-		return gv.cur, gv.max
-	}
-	return 0, 0
-}
-
 // Hist returns the named histogram, creating it with the given bucket upper
 // bounds on first use (later bounds arguments are ignored).
 func (g *Registry) Hist(name string, bounds []int64) *Histogram {

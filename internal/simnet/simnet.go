@@ -162,7 +162,6 @@ type Sim struct {
 	failure  error
 	deadline Time // 0 means none
 	rng      *rand.Rand
-	seed     int64
 	obsBus   *obs.Bus
 
 	// EventCount is the total number of events dispatched so far.
@@ -174,7 +173,6 @@ func New(seed int64) *Sim {
 	return &Sim{
 		done: make(chan struct{}, 1),
 		rng:  rand.New(rand.NewSource(seed)),
-		seed: seed,
 	}
 }
 
@@ -299,11 +297,7 @@ type Proc struct {
 	parkSeq  uint64 // increments every park; stale wake events are ignored
 	finished bool
 
-	busy  Duration // total time charged via Compute
-	slept Duration // total time in Sleep
-	idle  Duration // total time parked waiting for events
-
-	userData interface{}
+	busy Duration // total time charged via Compute
 }
 
 type wake struct{ timedOut bool }
@@ -320,18 +314,8 @@ func (p *Proc) Sim() *Sim { return p.sim }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.sim.now }
 
-// SetUserData attaches an arbitrary value to the process (e.g. its MPI rank
-// state); UserData retrieves it.
-func (p *Proc) SetUserData(v interface{}) { p.userData = v }
-
-// UserData returns the value set with SetUserData, or nil.
-func (p *Proc) UserData() interface{} { return p.userData }
-
 // BusyTime returns total virtual time this process spent in Compute.
 func (p *Proc) BusyTime() Duration { return p.busy }
-
-// IdleTime returns total virtual time this process spent parked.
-func (p *Proc) IdleTime() Duration { return p.idle }
 
 // Spawn creates a process that will begin executing fn at time start.
 // It may be called before Run or from inside the simulation.
@@ -377,7 +361,6 @@ func (p *Proc) park() wake {
 	s := p.sim
 	p.parked = true
 	p.parkSeq++
-	start := s.now
 	var w wake
 	switch s.loop(p, &w) {
 	case exitSelfWake:
@@ -388,7 +371,6 @@ func (p *Proc) park() wake {
 		s.done <- struct{}{}
 		w = <-p.resume // Run returned; resumes only if a later Run wakes us
 	}
-	p.idle += s.now.Sub(start)
 	return w
 }
 
@@ -401,10 +383,7 @@ func (p *Proc) Sleep(d Duration) {
 	s.seq++
 	s.schedule(event{at: s.now.Add(d), seq: s.seq, kind: evTimerWake,
 		proc: p, parkSeq: p.parkSeq + 1})
-	start := s.now
 	p.park()
-	p.slept += s.now.Sub(start)
-	p.idle -= s.now.Sub(start) // sleeping is not idling
 }
 
 // Compute charges d of virtual time as computation (CPU busy).
@@ -419,7 +398,6 @@ func (p *Proc) Compute(d Duration) {
 		proc: p, parkSeq: p.parkSeq + 1})
 	p.park()
 	p.busy += s.now.Sub(start)
-	p.idle -= s.now.Sub(start)
 }
 
 // Park suspends the process until another party calls Wake on it.
@@ -576,59 +554,3 @@ func (s *Sim) Run() error {
 
 // Procs returns all processes ever spawned, in spawn order.
 func (s *Sim) Procs() []*Proc { return s.procs }
-
-// Cond is a broadcast-style condition variable for simulated processes.
-// The zero value is not usable; create with NewCond.
-type Cond struct {
-	sim     *Sim
-	waiters []*Proc
-	head    int // index of the first live waiter; slots before it are nil
-}
-
-// NewCond returns a condition variable bound to s.
-func NewCond(s *Sim) *Cond { return &Cond{sim: s} }
-
-// Wait parks p until Broadcast or Signal.
-func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
-	p.park()
-}
-
-// Signal wakes one waiter (FIFO), if any. The popped slot is nilled so a
-// long-lived cond never pins a finished process through its backing array,
-// and the array is compacted once it is mostly dead slots.
-func (c *Cond) Signal() {
-	if c.head == len(c.waiters) {
-		return
-	}
-	p := c.waiters[c.head]
-	c.waiters[c.head] = nil
-	c.head++
-	switch {
-	case c.head == len(c.waiters):
-		c.waiters = c.waiters[:0]
-		c.head = 0
-	case c.head >= 32 && c.head*2 >= len(c.waiters):
-		n := copy(c.waiters, c.waiters[c.head:])
-		clearTail := c.waiters[n:]
-		for i := range clearTail {
-			clearTail[i] = nil
-		}
-		c.waiters = c.waiters[:n]
-		c.head = 0
-	}
-	p.Wake()
-}
-
-// Broadcast wakes all current waiters.
-func (c *Cond) Broadcast() {
-	ws := c.waiters[c.head:]
-	c.waiters = nil
-	c.head = 0
-	for _, p := range ws {
-		p.Wake()
-	}
-}
-
-// Len reports the number of parked waiters.
-func (c *Cond) Len() int { return len(c.waiters) - c.head }

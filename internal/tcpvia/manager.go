@@ -23,8 +23,6 @@ type Manager struct {
 
 	mu       sync.Mutex
 	channels map[int]*Channel
-	recvPool int
-	bufSize  int
 	timeout  time.Duration
 	closed   bool
 	adoptWG  sync.WaitGroup
@@ -77,15 +75,19 @@ func (c *Channel) Up() bool {
 	return c.up
 }
 
+// Each VI pre-posts recvPool receive buffers of recvBufSize bytes.
+const (
+	recvPool    = 32
+	recvBufSize = 64 << 10
+)
+
 // ManagerConfig configures NewManager.
 type ManagerConfig struct {
-	Node     *Node
-	Rank     int
-	Peers    []string // rank -> address (Peers[Rank] must equal Node.Addr())
-	Policy   string   // "static" or "ondemand"
-	RecvPool int      // receive buffers pre-posted per VI (default 32)
-	BufSize  int      // receive buffer size (default 64 KiB)
-	Timeout  time.Duration
+	Node    *Node
+	Rank    int
+	Peers   []string // rank -> address (Peers[Rank] must equal Node.Addr())
+	Policy  string   // "static" or "ondemand"
+	Timeout time.Duration
 
 	// Metrics, when set, receives connection and FIFO counters
 	// ("tcpvia.conn.up", "tcpvia.fifo.parked", ...). The manager
@@ -107,12 +109,6 @@ type ManagerConfig struct {
 // NewManager wires a node into a ranked group under the chosen policy.
 // Static managers return only after the full mesh is connected.
 func NewManager(cfg ManagerConfig) (*Manager, error) {
-	if cfg.RecvPool == 0 {
-		cfg.RecvPool = 32
-	}
-	if cfg.BufSize == 0 {
-		cfg.BufSize = 64 << 10
-	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 10 * time.Second
 	}
@@ -125,11 +121,9 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		peers:    cfg.Peers,
 		policy:   cfg.Policy,
 		channels: make(map[int]*Channel),
-		recvPool: cfg.RecvPool,
 		metrics:  cfg.Metrics,
 		log:      cfg.Log,
 	}
-	m.bufSize = cfg.BufSize
 	m.timeout = cfg.Timeout
 	switch cfg.Policy {
 	case "static":
@@ -269,8 +263,8 @@ func (m *Manager) channel(rank int) *Channel {
 		m.channels[rank] = ch
 		return ch
 	}
-	for i := 0; i < m.recvPool; i++ {
-		_ = vi.PostRecv(make([]byte, m.bufSize))
+	for i := 0; i < recvPool; i++ {
+		_ = vi.PostRecv(make([]byte, recvBufSize))
 	}
 	ch := &Channel{Rank: rank, Vi: vi, upped: make(chan struct{})}
 	m.channels[rank] = ch

@@ -112,8 +112,6 @@ type PeerRequest struct {
 	Disc uint64
 
 	conn   net.Conn
-	viID   uint32
-	node   *Node
 	doneMu sync.Mutex
 	done   bool
 }
@@ -133,11 +131,10 @@ type VI struct {
 	node *Node
 	id   uint32
 
-	state    ViState
-	remote   string // remote listen address (once connecting/connected)
-	disc     uint64
-	conn     net.Conn
-	remoteVi uint32
+	state  ViState
+	remote string // remote listen address (once connecting/connected)
+	disc   uint64
+	conn   net.Conn
 
 	recvQ   [][]byte // posted receive buffers, FIFO
 	doneQ   []int    // completed receive lengths, FIFO (parallel to consumed bufs)
@@ -275,18 +272,19 @@ func (n *Node) acceptLoop() {
 	}
 }
 
+// handleInbound reads an inbound connection's HELLO and routes it. The
+// peer is not yet trusted: the HELLO must arrive within helloTimeout and fit
+// maxHello bytes, so a silent or lying dialer can hold neither a goroutine
+// nor a large buffer.
 func (n *Node) handleInbound(conn net.Conn) {
-	kind, payload, err := readFrame(conn)
-	if err != nil || kind != kHello {
-		conn.Close()
-		return
-	}
-	if len(payload) < 12 {
+	conn.SetReadDeadline(time.Now().Add(helloTimeout))
+	kind, payload, err := readFrame(conn, maxHello)
+	conn.SetReadDeadline(time.Time{})
+	if err != nil || kind != kHello || len(payload) < 12 {
 		conn.Close()
 		return
 	}
 	disc := binary.LittleEndian.Uint64(payload)
-	viID := binary.LittleEndian.Uint32(payload[8:])
 	from := string(payload[12:])
 
 	n.mu.Lock()
@@ -320,7 +318,7 @@ func (n *Node) handleInbound(conn net.Conn) {
 		// Their dial wins: adopt this connection for our dialing VI.
 		delete(n.outgoing, disc)
 		out.writeMu.Lock()
-		out.adoptLocked(conn, viID)
+		out.adoptLocked(conn)
 		n.stats.VisConnected++
 		n.mu.Unlock()
 		writeFrame(conn, kAccept, u32(out.id))
@@ -328,21 +326,14 @@ func (n *Node) handleInbound(conn net.Conn) {
 		out.startReader()
 		return
 	}
-	req := &PeerRequest{From: from, Disc: disc, conn: conn, viID: viID, node: n}
+	req := &PeerRequest{From: from, Disc: disc, conn: conn}
 	n.pending = append(n.pending, req)
 	n.cond.Broadcast()
 	n.mu.Unlock()
 }
 
-// PendingRequest returns (and removes) an incoming connection request,
-// optionally filtered by discriminator (disc == 0 matches any; use
-// WaitRequest for blocking). It returns nil when none is queued.
-func (n *Node) PendingRequest(disc uint64) *PeerRequest {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.pendingLocked(disc)
-}
-
+// pendingLocked removes and returns the first queued request matching disc
+// (disc == 0 matches any), or nil.
 func (n *Node) pendingLocked(disc uint64) *PeerRequest {
 	for i, r := range n.pending {
 		if disc == 0 || r.Disc == disc {
@@ -422,7 +413,7 @@ func (n *Node) Accept(req *PeerRequest, vi *VI) error {
 	}
 	req.done = true
 	vi.writeMu.Lock()
-	vi.adoptLocked(req.conn, req.viID)
+	vi.adoptLocked(req.conn)
 	n.stats.VisConnected++
 	n.mu.Unlock()
 
@@ -487,7 +478,7 @@ func (n *Node) ConnectPeer(vi *VI, remote string, disc uint64, timeout time.Dura
 		return err
 	}
 	conn.SetReadDeadline(time.Now().Add(timeout))
-	kind, payload, err := readFrame(conn)
+	kind, _, err := readFrame(conn, maxFrame)
 	conn.SetReadDeadline(time.Time{})
 	if err != nil {
 		conn.Close()
@@ -507,7 +498,7 @@ func (n *Node) ConnectPeer(vi *VI, remote string, disc uint64, timeout time.Dura
 			conn.Close()
 			return nil
 		}
-		vi.adoptLocked(conn, binary.LittleEndian.Uint32(payload))
+		vi.adoptLocked(conn)
 		n.stats.VisConnected++
 		n.mu.Unlock()
 		vi.startReader()
@@ -562,9 +553,8 @@ func (n *Node) failDial(vi *VI, disc uint64) {
 // its accept frame is written: the VI turns Connected here, and a send
 // racing in must not put a data frame on the wire ahead of the accept,
 // which the dialer would read as a broken handshake.
-func (vi *VI) adoptLocked(conn net.Conn, remoteVi uint32) {
+func (vi *VI) adoptLocked(conn net.Conn) {
 	vi.conn = conn
-	vi.remoteVi = remoteVi
 	vi.state = Connected
 	vi.node.cond.Broadcast()
 }
@@ -582,7 +572,7 @@ func (vi *VI) startReader() {
 func (vi *VI) readLoop() {
 	n := vi.node
 	for {
-		kind, payload, err := readFrame(vi.conn)
+		kind, payload, err := readFrame(vi.conn, maxFrame)
 		if err != nil {
 			n.mu.Lock()
 			if vi.state == Connected {
@@ -770,16 +760,29 @@ func writeFrame(conn net.Conn, kind byte, payload []byte) error {
 	return err
 }
 
-const maxFrame = 64 << 20
+// Frame payload limits: any frame on a connected VI, and the HELLO that
+// opens an inbound connection (disc u64, vi id u32, then the dialer's listen
+// address of at most maxAddrLen bytes).
+const (
+	maxFrame   = 64 << 20
+	maxAddrLen = 512
+	maxHello   = 12 + maxAddrLen
+)
 
-func readFrame(conn net.Conn) (byte, []byte, error) {
+// helloTimeout bounds the wait for an inbound connection's HELLO (a var so
+// tests can shorten it).
+var helloTimeout = 10 * time.Second
+
+// readFrame reads one frame, refusing before it allocates any payload that
+// claims more than limit bytes.
+func readFrame(conn net.Conn, limit uint32) (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 		return 0, nil, err
 	}
 	size := binary.LittleEndian.Uint32(hdr[1:])
-	if size > maxFrame {
-		return 0, nil, fmt.Errorf("tcpvia: frame of %d bytes exceeds limit", size)
+	if size > limit {
+		return 0, nil, fmt.Errorf("tcpvia: frame of %d bytes exceeds limit %d", size, limit)
 	}
 	payload := make([]byte, size)
 	if _, err := io.ReadFull(conn, payload); err != nil {

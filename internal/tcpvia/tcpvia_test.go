@@ -244,7 +244,7 @@ func TestCrossingDialThroughRequestQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer out.Close()
-	if kind, _, err := readFrame(out); err != nil || kind != kHello {
+	if kind, _, err := readFrame(out, maxFrame); err != nil || kind != kHello {
 		t.Fatalf("node's dial sent frame %d (%v), want HELLO", kind, err)
 	}
 
@@ -252,7 +252,7 @@ func TestCrossingDialThroughRequestQueue(t *testing.T) {
 	if err := n.Accept(req, vi); !errors.Is(err, ErrCrossing) {
 		t.Fatalf("Accept during an outstanding winning dial = %v, want ErrCrossing", err)
 	}
-	if kind, _, err := readFrame(in); err != nil || kind != kBusy {
+	if kind, _, err := readFrame(in, maxFrame); err != nil || kind != kBusy {
 		t.Fatalf("queued request answered with frame %d (%v), want busy: the node must keep its own dial", kind, err)
 	}
 
@@ -266,7 +266,7 @@ func TestCrossingDialThroughRequestQueue(t *testing.T) {
 	if _, err := vi.PostSend([]byte("kept")); err != nil {
 		t.Fatal(err)
 	}
-	if kind, payload, err := readFrame(out); err != nil || kind != kData || string(payload) != "kept" {
+	if kind, payload, err := readFrame(out, maxFrame); err != nil || kind != kData || string(payload) != "kept" {
 		t.Fatalf("data frame %d %q (%v), want the payload on the surviving connection", kind, payload, err)
 	}
 	if st := vi.State(); st != Connected {
@@ -560,6 +560,67 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		buf := make([]byte, 1<<16)
 		n := runtime.Stack(buf, true)
 		t.Fatalf("goroutines leaked: %d -> %d\n%s", base, got, buf[:n])
+	}
+}
+
+// peerClosed reads from conn until the peer closes it and reports whether
+// it did so within wait.
+func peerClosed(conn net.Conn, wait time.Duration) bool {
+	conn.SetReadDeadline(time.Now().Add(wait))
+	_, err := conn.Read(make([]byte, 1))
+	var ne net.Error
+	return err != nil && !(errors.As(err, &ne) && ne.Timeout())
+}
+
+// TestSilentInboundClosed: a peer that connects and never sends its HELLO
+// is dropped once helloTimeout passes, and Node.Close does not wait on it.
+func TestSilentInboundClosed(t *testing.T) {
+	defer func(d time.Duration) { helloTimeout = d }(helloTimeout)
+	helloTimeout = 100 * time.Millisecond
+	n, err := Listen(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if !peerClosed(conn, 2*time.Second) {
+		t.Fatal("silent dialer still connected after 2s")
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- n.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Node.Close blocked on a silent inbound connection")
+	}
+}
+
+// TestOversizedHelloRejected: a HELLO header claiming 64 MB is refused
+// before any payload buffer is allocated, and the connection is dropped.
+func TestOversizedHelloRejected(t *testing.T) {
+	n := newNode(t)
+	conn, err := net.Dial("tcp", n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	hdr := []byte{kHello, 0, 0, 0, 0}
+	binary.LittleEndian.PutUint32(hdr[1:], 64<<20)
+	if _, err := conn.Write(hdr); err != nil {
+		t.Fatal(err)
+	}
+	closed := peerClosed(conn, 2*time.Second)
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("oversized HELLO header cost %d bytes of allocation, want < 1 MB", d)
+	}
+	if !closed {
+		t.Fatal("connection with an oversized HELLO still open after 2s")
 	}
 }
 

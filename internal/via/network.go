@@ -62,9 +62,6 @@ func (n *Network) Sim() *simnet.Sim { return n.sim }
 // Cluster returns the underlying fabric.
 func (n *Network) Cluster() *fabric.Cluster { return n.cluster }
 
-// Cost returns the device cost model.
-func (n *Network) Cost() CostModel { return n.cost }
-
 // Ports returns all opened ports in open order.
 func (n *Network) Ports() []*Port { return n.ports }
 
@@ -72,16 +69,6 @@ func (n *Network) Ports() []*Port { return n.ports }
 // placement. The owner is the only process that may invoke blocking
 // operations on the port.
 func (n *Network) Open(owner *simnet.Proc) (*Port, error) {
-	return n.open(owner, -1)
-}
-
-// OpenOnNode attaches a new port pinned to a specific node — the hook for
-// non-block placement policies.
-func (n *Network) OpenOnNode(owner *simnet.Proc, node int) (*Port, error) {
-	return n.open(owner, node)
-}
-
-func (n *Network) open(owner *simnet.Proc, node int) (*Port, error) {
 	p := &Port{
 		net:         n,
 		owner:       owner,
@@ -89,13 +76,7 @@ func (n *Network) open(owner *simnet.Proc, node int) (*Port, error) {
 		outgoing:    make(map[connKey]*VI),
 		rdmaTargets: make(map[uint64][]byte),
 	}
-	var ep int
-	var err error
-	if node < 0 {
-		ep, err = n.cluster.Attach(p.handleFrame)
-	} else {
-		ep, err = n.cluster.AttachNode(node, p.handleFrame)
-	}
+	ep, err := n.cluster.Attach(p.handleFrame)
 	if err != nil {
 		return nil, err
 	}

@@ -106,11 +106,7 @@ type Descriptor struct {
 	Status  Status
 	XferLen int // bytes actually transferred
 
-	// UserPtr lets upper layers attach context (e.g. the MPI request).
-	UserPtr interface{}
-
-	vi   *VI
-	rdma bool
+	vi *VI
 }
 
 // Done reports whether the descriptor has completed (any status).

@@ -46,10 +46,6 @@ func (vi *VI) ID() int { return vi.id }
 // State returns the connection state.
 func (vi *VI) State() ViState { return vi.state }
 
-// RemoteAddr returns the connected peer's port address (valid once
-// connected).
-func (vi *VI) RemoteAddr() Addr { return Addr{Ep: vi.remoteEp} }
-
 // Port returns the owning port.
 func (vi *VI) Port() *Port { return vi.port }
 
@@ -58,9 +54,6 @@ func (vi *VI) Disc() uint64 { return vi.disc }
 
 // SendQueueLen returns the number of posted, unreaped send descriptors.
 func (vi *VI) SendQueueLen() int { return len(vi.sendQ) }
-
-// RecvQueueLen returns the number of posted, unreaped receive descriptors.
-func (vi *VI) RecvQueueLen() int { return len(vi.recvQ) }
 
 // PostRecv posts a receive descriptor. VIA requires receives to be posted
 // before the matching message arrives; posting is legal in any pre-connected
@@ -86,7 +79,6 @@ func (vi *VI) PostRecv(d *Descriptor) error {
 // pre-connection sends above the VIA layer.
 func (vi *VI) PostSend(d *Descriptor) error {
 	d.vi = vi
-	d.rdma = false
 	vi.port.ChargeHost(vi.port.net.cost.PostOverhead)
 	if vi.state != ViConnected {
 		d.Status = StatusNotConnected
@@ -114,7 +106,6 @@ func (vi *VI) PostRdmaWrite(d *Descriptor) error {
 		return fmt.Errorf("%w: PostRdmaWrite in state %v", ErrBadState, vi.state)
 	}
 	d.vi = vi
-	d.rdma = true
 	d.Status = StatusPending
 	vi.port.ChargeHost(vi.port.net.cost.PostOverhead)
 	vi.sendQ = append(vi.sendQ, d)
